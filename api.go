@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"pfd/internal/discovery"
-	"pfd/internal/pfd"
 	"pfd/internal/repair"
 	"pfd/internal/source"
 	"pfd/internal/stream"
@@ -267,12 +266,10 @@ func (v *Validation) Report() StreamReport { return v.report }
 const validateProgressEvery = 4096
 
 // Validate checks a source against PFDs with streaming (ingest-time)
-// semantics and returns a consistent final report. By default it runs
-// the sharded engine with one producer goroutine — deterministic row
-// ids in source order; WithWorkers scales the producer-side pattern
-// matching, WithSequentialChecker swaps in the sequential Checker
-// (identical consensus semantics, pinned by the engine's differential
-// test). WithWarmup folds a trusted reference in first so group
+// semantics and returns a consistent final report. It runs the
+// sharded engine with one producer goroutine by default — deterministic
+// row ids in source order; WithWorkers scales the producer-side pattern
+// matching. WithWarmup folds a trusted reference in first so group
 // consensus exists before the first live tuple.
 //
 // Errors are typed: *ParseError for malformed input,
@@ -281,9 +278,6 @@ const validateProgressEvery = 4096
 // is stalled on shard backpressure, which cancellation unblocks.
 func Validate(ctx context.Context, src Source, pfds []*PFD, opts ...StreamOption) (*Validation, error) {
 	cfg := newStreamConfig(opts)
-	if cfg.sequential {
-		return validateSequential(ctx, src, pfds, cfg)
-	}
 
 	// Suppress handler delivery during warm replay: reference data is
 	// trusted, its violations are delta-tolerated dirt, not live
@@ -418,66 +412,4 @@ feed:
 		return n, srcErr
 	}
 	return n, submitErr
-}
-
-// validateSequential is Validate on the incremental Checker: one
-// goroutine, identical consensus semantics.
-func validateSequential(ctx context.Context, src Source, pfds []*PFD, cfg streamConfig) (*Validation, error) {
-	checker := pfd.NewChecker(pfds)
-	retain := !cfg.engine.DiscardViolations
-	handler := cfg.engine.OnViolation
-	var log []StreamViolation
-
-	run := func(s Source, liveRun bool) (int, error) {
-		n := 0
-		for tuple, err := range s.Tuples(ctx) {
-			if err != nil {
-				return n, err
-			}
-			vs, err := checker.CheckNext(tuple)
-			if err != nil {
-				return n, err
-			}
-			if retain {
-				log = append(log, vs...)
-			}
-			if liveRun {
-				if handler != nil {
-					for _, v := range vs {
-						handler(v)
-					}
-				}
-				n++
-				if cfg.progress != nil && n%validateProgressEvery == 0 {
-					cfg.progress(n)
-				}
-			} else {
-				n++
-			}
-		}
-		return n, nil
-	}
-
-	warmRows := 0
-	if cfg.warm != nil {
-		n, err := run(cfg.warm, false)
-		if err != nil {
-			return nil, wrapCanceled(err, "validate", n)
-		}
-		warmRows = n
-	}
-	n, err := run(src, true)
-	if err != nil {
-		return nil, wrapCanceled(err, "validate", warmRows+n)
-	}
-
-	idx := make(map[*PFD]int, len(pfds))
-	for i, p := range pfds {
-		idx[p] = i
-	}
-	stream.SortViolations(log, idx)
-	return &Validation{
-		report:   StreamReport{Rows: checker.Rows(), Violations: log},
-		warmRows: warmRows,
-	}, nil
 }

@@ -11,6 +11,9 @@ import (
 
 	"pfd"
 	"pfd/internal/datagen"
+	"pfd/internal/discovery"
+	ipfd "pfd/internal/pfd"
+	"pfd/internal/repair"
 	"pfd/internal/stream"
 )
 
@@ -26,18 +29,21 @@ func table7Workload(t *testing.T, id string) *pfd.Table {
 	return tbl
 }
 
-// TestV2MatchesV1OnTable7Workloads pins the v2 entry points against
-// the deprecated v1 wrappers on Table 7 workloads: byte-identical
-// dependencies, findings, and violations — the acceptance bar for the
-// API redesign (same algorithms underneath, different surface).
+// TestV2MatchesV1OnTable7Workloads pins the public entry points
+// against the internals they wrap on Table 7 workloads: byte-identical
+// dependencies (discovery.Discover), findings (repair.Detect), and
+// streaming violations (the sequential reference Checker) — the
+// acceptance bar for the API surface (same algorithms underneath,
+// different surface).
 func TestV2MatchesV1OnTable7Workloads(t *testing.T) {
 	ctx := context.Background()
 	for _, id := range []string{"T1", "T5", "T13"} {
 		t.Run(id, func(t *testing.T) {
 			tbl := table7Workload(t, id)
 
-			// Discovery: v1 wrapper vs v2 over a TableSource.
-			v1 := pfd.DiscoverTable(tbl, pfd.DefaultParams())
+			// Discovery: the internal algorithm vs Discover over a
+			// TableSource.
+			v1 := discovery.Discover(tbl, pfd.DefaultParams())
 			v2, err := pfd.Discover(ctx, pfd.FromTable(tbl))
 			if err != nil {
 				t.Fatalf("v2 Discover: %v", err)
@@ -47,8 +53,9 @@ func TestV2MatchesV1OnTable7Workloads(t *testing.T) {
 			}
 
 			// Detection: byte-identical findings.
-			v1f := pfd.DetectTable(tbl, v1.PFDs())
-			v2d, err := pfd.Detect(ctx, pfd.FromTable(tbl), v2.PFDs())
+			pfds := v2.PFDs()
+			v1f := repair.Detect(tbl, pfds)
+			v2d, err := pfd.Detect(ctx, pfd.FromTable(tbl), pfds)
 			if err != nil {
 				t.Fatalf("v2 Detect: %v", err)
 			}
@@ -56,10 +63,9 @@ func TestV2MatchesV1OnTable7Workloads(t *testing.T) {
 				t.Fatalf("findings differ:\nv2:\n%s\nv1:\n%s", got, want)
 			}
 
-			// Streaming validation: v2 Validate (sharded, and sequential
-			// mode) vs the v1 Checker loop, identically sorted.
-			pfds := v1.PFDs()
-			checker := pfd.NewChecker(pfds)
+			// Streaming validation: Validate (one and four shards) vs a
+			// reference Checker loop, identically sorted.
+			checker := ipfd.NewChecker(pfds)
 			var v1vs []pfd.StreamViolation
 			for i := 0; i < tbl.NumRows(); i++ {
 				tuple := make(pfd.Tuple, len(tbl.Cols))
@@ -79,23 +85,17 @@ func TestV2MatchesV1OnTable7Workloads(t *testing.T) {
 			stream.SortViolations(v1vs, idx)
 			want := dumpViolations(v1vs, idx)
 
-			for _, mode := range []struct {
-				name string
-				opts []pfd.StreamOption
-			}{
-				{"sharded", []pfd.StreamOption{pfd.WithShards(4), pfd.WithBatchSize(8)}},
-				{"sequential", []pfd.StreamOption{pfd.WithSequentialChecker()}},
-			} {
-				val, err := pfd.Validate(ctx, pfd.FromTable(tbl), pfds, mode.opts...)
+			for _, shards := range []int{1, 4} {
+				val, err := pfd.Validate(ctx, pfd.FromTable(tbl), pfds, pfd.WithShards(shards))
 				if err != nil {
-					t.Fatalf("Validate(%s): %v", mode.name, err)
+					t.Fatalf("Validate(%d shards): %v", shards, err)
 				}
 				if val.Rows() != tbl.NumRows() {
-					t.Errorf("Validate(%s) rows = %d, want %d", mode.name, val.Rows(), tbl.NumRows())
+					t.Errorf("Validate(%d shards) rows = %d, want %d", shards, val.Rows(), tbl.NumRows())
 				}
 				if got := dumpViolations(val.Violations(), idx); got != want {
-					t.Errorf("Validate(%s) violations differ from the v1 Checker:\nv2:\n%s\nv1:\n%s",
-						mode.name, got, want)
+					t.Errorf("Validate(%d shards) violations differ from the reference Checker:\nv2:\n%s\nv1:\n%s",
+						shards, got, want)
 				}
 			}
 		})
@@ -201,7 +201,7 @@ func TestValidateCancellation(t *testing.T) {
 		opts []pfd.StreamOption
 	}{
 		{"sharded", []pfd.StreamOption{pfd.WithShards(2), pfd.WithWorkers(4)}},
-		{"sequential", []pfd.StreamOption{pfd.WithSequentialChecker()}},
+		{"single-producer", []pfd.StreamOption{pfd.WithShards(1)}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
@@ -288,8 +288,8 @@ func TestValidateWarmupSplit(t *testing.T) {
 	}
 }
 
-// TestRepairToFixpointV2 pins the v2 fixpoint repair against the v1
-// wrapper.
+// TestRepairToFixpointV2 pins the public fixpoint repair against the
+// internal holistic loop it wraps.
 func TestRepairToFixpointV2(t *testing.T) {
 	ctx := context.Background()
 	tbl := table7Workload(t, "T5")
@@ -297,7 +297,7 @@ func TestRepairToFixpointV2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := pfd.RepairTableToFixpoint(tbl, disc.PFDs(), 3)
+	v1 := repair.Holistic(tbl, disc.PFDs(), repair.HolisticOptions{MaxRounds: 3})
 	v2, err := pfd.RepairToFixpoint(ctx, pfd.FromTable(tbl), disc.PFDs(), pfd.WithMaxRounds(3))
 	if err != nil {
 		t.Fatal(err)

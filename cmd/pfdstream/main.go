@@ -8,7 +8,7 @@
 // Usage:
 //
 //	pfdstream -ref reference.csv [-in stream.csv] [-format csv|jsonl]
-//	          [-shards N] [-workers N] [-batch 64] [-flush 2ms] [-warm]
+//	          [-shards N] [-workers N] [-warm]
 //	          [-quiet] [-json] [-k 5] [-delta 0.05] [-coverage 0.10]
 //	          [-lhs 1] < stream
 //	pfdstream -rules r.pfd [-ref reference.csv] [flags] < stream
@@ -65,8 +65,6 @@ func main() {
 	format := flag.String("format", "csv", "input format: csv (header row) or jsonl")
 	shards := flag.Int("shards", 0, "state shards (0 = GOMAXPROCS)")
 	workers := flag.Int("workers", 0, "producer goroutines (0 = shard count)")
-	batchSize := flag.Int("batch", 64, "updates per shard batch")
-	flush := flag.Duration("flush", 2*time.Millisecond, "max latency of a partial batch")
 	warm := flag.Bool("warm", true, "fold the reference rows in before validating")
 	quiet := flag.Bool("quiet", false, "suppress per-violation lines")
 	jsonOut := flag.Bool("json", false, "emit the final report as JSON on stdout (suppresses per-violation lines)")
@@ -172,8 +170,6 @@ func main() {
 	}
 	opts := []pfd.StreamOption{
 		pfd.WithShards(*shards),
-		pfd.WithBatchSize(*batchSize),
-		pfd.WithFlushInterval(*flush),
 		pfd.WithWorkers(nw),
 		// All modes consume violations through the handler: retaining
 		// them in the engine (which would also keep every retroactive

@@ -4,20 +4,24 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"pfd"
+	ipfd "pfd/internal/pfd"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
-// TestReportGolden pins the -json report shape: a deterministic
-// validation run (sequential checker, fixed rules, fixed stream,
-// fixed elapsed time) must marshal byte-identically to the committed
-// golden file.
+// TestReportGolden pins the -json report shape: a validation run with
+// fixed rules, fixed stream, and fixed elapsed time must marshal
+// byte-identically to the committed golden file (buildReport sorts the
+// handler-collected findings, so shard scheduling cannot reorder
+// them), and its findings must equal the sequential reference
+// Checker's.
 func TestReportGolden(t *testing.T) {
 	rules := pfd.NewRuleset("golden",
 		pfd.MustParsePFD(`Zip([zip = (\D{3})\D{2}] -> [city = _])`),
@@ -36,7 +40,7 @@ func TestReportGolden(t *testing.T) {
 	// engine log stays disabled in every mode).
 	var findings []pfd.ReportFinding
 	val, err := rules.Validate(context.Background(), pfd.FromTable(live),
-		pfd.WithSequentialChecker(), pfd.WithoutViolationLog(),
+		pfd.WithoutViolationLog(),
 		pfd.WithWarmup(pfd.FromTable(warm)),
 		pfd.WithViolationHandler(func(v pfd.StreamViolation) {
 			if v.NewTuple {
@@ -48,6 +52,9 @@ func TestReportGolden(t *testing.T) {
 	}
 
 	rep := buildReport("golden", val, 250*time.Millisecond, 4, 2, 3, findings)
+	if got, want := fmt.Sprint(rep.Violations), fmt.Sprint(checkerFindings(t, rules, warm, live)); got != want {
+		t.Errorf("engine findings %s, reference Checker %s", got, want)
+	}
 	got, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +93,7 @@ func TestReportCountsConsistent(t *testing.T) {
 
 	var findings []pfd.ReportFinding
 	val, err := rules.Validate(context.Background(), pfd.FromTable(live),
-		pfd.WithSequentialChecker(), pfd.WithoutViolationLog(),
+		pfd.WithoutViolationLog(),
 		pfd.WithViolationHandler(func(v pfd.StreamViolation) {
 			if v.NewTuple {
 				findings = append(findings, pfd.FindingOf(v, 0))
@@ -105,4 +112,34 @@ func TestReportCountsConsistent(t *testing.T) {
 	if rep.TuplesPerSec != 9 {
 		t.Errorf("TuplesPerSec = %v, want 9", rep.TuplesPerSec)
 	}
+}
+
+// checkerFindings runs the sequential reference Checker over warm then
+// live and returns the live tuples' findings in report order, with
+// rows numbered from the first live tuple as the report numbers them.
+func checkerFindings(t *testing.T, rules *pfd.Ruleset, warm, live *pfd.Table) []pfd.ReportFinding {
+	t.Helper()
+	c := ipfd.NewChecker(rules.PFDs)
+	var out []pfd.ReportFinding
+	for _, tbl := range []*pfd.Table{warm, live} {
+		for i := 0; i < tbl.NumRows(); i++ {
+			tuple := make(pfd.Tuple, len(tbl.Cols))
+			for j, col := range tbl.Cols {
+				tuple[col] = tbl.At(i, j)
+			}
+			vs, err := c.CheckNext(tuple)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range vs {
+				if v.NewTuple && tbl == live {
+					out = append(out, pfd.FindingOf(v, warm.NumRows()))
+				}
+			}
+		}
+	}
+	rep := pfd.NewReport("checker")
+	rep.Violations = out
+	rep.Sort()
+	return rep.Violations
 }

@@ -146,36 +146,9 @@ func ExampleImplies() {
 	// true
 }
 
-// ExampleNewChecker validates a stream against a mined constraint.
-func ExampleNewChecker() {
-	psi, _ := pfd.NewPFD("Zip", []string{"zip"}, "state",
-		pfd.TableauRow{
-			LHS: []pfd.TableauCell{pfd.Pat(pfd.MustParsePattern(`(\D{3})\D{2}`))},
-			RHS: pfd.Wildcard(),
-		},
-	)
-	c := pfd.NewChecker([]*pfd.PFD{psi})
-	mustStream(c.CheckNext(map[string]string{"zip": "90001", "state": "CA"}))
-	mustStream(c.CheckNext(map[string]string{"zip": "90002", "state": "CA"}))
-	for _, v := range mustStream(c.CheckNext(map[string]string{"zip": "90003", "state": "WA"})) {
-		fmt.Println(v.Cell, "expected", v.Expected)
-	}
-	// Output:
-	// r2[state] expected CA
-}
-
-// mustStream unwraps CheckNext in examples; a missing-column error is a
-// programming mistake there, not data dirt.
-func mustStream(vs []pfd.StreamViolation, err error) []pfd.StreamViolation {
-	if err != nil {
-		panic(err)
-	}
-	return vs
-}
-
-// ExampleNewStreamEngineContext validates the same stream through the
-// manually driven sharded engine: identical consensus semantics,
-// concurrent-producer Submit, and a deterministic snapshot report.
+// ExampleNewStreamEngineContext validates a stream against a mined
+// constraint through the manually driven sharded engine:
+// concurrent-producer Submit and a deterministic snapshot report.
 // (Source-driven runs should use Validate instead.)
 func ExampleNewStreamEngineContext() {
 	psi, _ := pfd.NewPFD("Zip", []string{"zip"}, "state",

@@ -64,7 +64,7 @@ func main() {
 		pfd.FromTuples("live", []string{"zip", "state"}, feed),
 		disc.PFDs(),
 		pfd.WithWarmup(pfd.FromTable(ref)),
-		pfd.WithShards(4), pfd.WithBatchSize(32),
+		pfd.WithShards(4),
 	)
 	if err != nil {
 		panic(err)

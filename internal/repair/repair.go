@@ -52,15 +52,11 @@ var detectWorkers = runtime.GOMAXPROCS(0)
 
 // planCache holds compiled shared-evaluation plans for the rulesets
 // this process detects with. Ruleset artifacts are long-lived and
-// reused across detect calls (the CLI's detect loop, the service's
-// tenants, RepairToFixpoint's rounds), so the per-ruleset plan is
-// worth keeping; 32 covers far more concurrent rulesets than any
-// caller holds.
+// reused across detect calls (the CLI's detect loop,
+// RepairToFixpoint's rounds), so the per-ruleset plan is worth
+// keeping; 32 covers far more concurrent rulesets than any caller
+// holds.
 var planCache = plan.NewCache(32)
-
-// PlanCacheStats exposes the process-wide detection plan cache
-// counters, for the service's /metrics.
-func PlanCacheStats() plan.CacheStats { return planCache.Stats() }
 
 // Options tunes DetectContextOptions.
 type Options struct {

@@ -20,9 +20,9 @@ const EnvPrefix = "PFDSERVED_"
 // win over the defaults — main applies ApplyEnv before flag.Parse, so
 // the precedence falls out of ordinary flag registration.
 //
-// The engine knobs (-shards, -batch, -flush) deliberately share their
-// names and meanings with pfdstream: one spelling across every entry
-// point to the streaming engine.
+// The engine knob -shards deliberately shares its name and meaning
+// with pfdstream: one spelling across every entry point to the
+// streaming engine.
 type Config struct {
 	// Addr is the listen address (flag -addr).
 	Addr string
@@ -40,11 +40,6 @@ type Config struct {
 	// Shards is the per-tenant engine shard count (flag -shards;
 	// 0 = GOMAXPROCS, as in pfdstream).
 	Shards int
-	// Batch is the engine batch size (flag -batch; 0 = engine default).
-	Batch int
-	// Flush bounds partial-batch latency (flag -flush; 0 = engine
-	// default, negative disables timed flushes).
-	Flush time.Duration
 	// IdleTimeout evicts a tenant's engine after this much ingest
 	// inactivity, releasing its shard goroutines and group state; the
 	// ruleset and counters survive and the next ingest lazily restarts
@@ -107,8 +102,6 @@ func (c *Config) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.Tenant, "tenant", c.Tenant, "tenant the -rules artifact preloads into ($"+EnvVar("tenant")+")")
 	fs.StringVar(&c.Ref, "ref", c.Ref, ".pfdt warmup snapshot replayed into -tenant's engine generations ($"+EnvVar("ref")+")")
 	fs.IntVar(&c.Shards, "shards", c.Shards, "state shards per tenant engine, 0 = GOMAXPROCS ($"+EnvVar("shards")+")")
-	fs.IntVar(&c.Batch, "batch", c.Batch, "updates per shard batch, 0 = engine default ($"+EnvVar("batch")+")")
-	fs.DurationVar(&c.Flush, "flush", c.Flush, "max latency of a partial batch, 0 = engine default ($"+EnvVar("flush")+")")
 	fs.DurationVar(&c.IdleTimeout, "idle", c.IdleTimeout, "evict idle tenant engines after this long, <=0 never ($"+EnvVar("idle")+")")
 	fs.DurationVar(&c.DrainTimeout, "drain", c.DrainTimeout, "shutdown: how long to wait for in-flight requests ($"+EnvVar("drain")+")")
 	fs.IntVar(&c.MaxTenants, "max-tenants", c.MaxTenants, "tenant registry cap, <=0 unlimited ($"+EnvVar("max-tenants")+")")
@@ -170,8 +163,6 @@ func (c *Config) ApplyEnv(lookup func(string) (string, bool)) error {
 		str("tenant", &c.Tenant),
 		str("ref", &c.Ref),
 		num("shards", &c.Shards),
-		num("batch", &c.Batch),
-		dur("flush", &c.Flush),
 		dur("idle", &c.IdleTimeout),
 		dur("drain", &c.DrainTimeout),
 		num("max-tenants", &c.MaxTenants),

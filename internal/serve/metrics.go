@@ -6,8 +6,6 @@ import (
 	"sort"
 	"strings"
 	"time"
-
-	"pfd/internal/repair"
 )
 
 // handleMetrics renders Prometheus text exposition format (version
@@ -72,12 +70,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			func(st tenantStatus) string { return fmt.Sprintf("%.3f", st.TuplesPerSec) }},
 		{"pfd_tenant_rules", "gauge", "Rules in the tenant's active ruleset.",
 			func(st tenantStatus) string { return fmt.Sprintf("%d", st.Rules) }},
-		{"pfd_tenant_plan_cache_hits_total", "counter", "Plan debug views served from the tenant's cached plan.",
-			func(st tenantStatus) string { return fmt.Sprintf("%d", st.PlanHits) }},
-		{"pfd_tenant_plan_cache_misses_total", "counter", "Plan compilations triggered by debug views.",
-			func(st tenantStatus) string { return fmt.Sprintf("%d", st.PlanMisses) }},
-		{"pfd_tenant_plan_invalidations_total", "counter", "Cached plans dropped by ruleset hot reloads.",
-			func(st tenantStatus) string { return fmt.Sprintf("%d", st.PlanInvalid) }},
 	}
 	for _, m := range perTenant {
 		metric(m.name, m.typ, m.help)
@@ -85,23 +77,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintf(&b, "%s{tenant=%q} %s\n", m.name, st.Name, m.value(st))
 		}
 	}
-
-	// Server-wide plan-cache totals: the per-tenant view counters summed,
-	// plus the process-wide detection plan cache (repair.Detect's
-	// compiled-plan reuse across calls).
-	var planHits, planMisses, planInvalid int64
-	for _, st := range statuses {
-		planHits += st.PlanHits
-		planMisses += st.PlanMisses
-		planInvalid += st.PlanInvalid
-	}
-	dc := repair.PlanCacheStats()
-	metric("pfd_plan_cache_hits_total", "counter", "Plan-cache hits: tenant plan views plus detection plan reuse.")
-	fmt.Fprintf(&b, "pfd_plan_cache_hits_total %d\n", planHits+dc.Hits)
-	metric("pfd_plan_cache_misses_total", "counter", "Plan compilations: tenant plan views plus detection planning.")
-	fmt.Fprintf(&b, "pfd_plan_cache_misses_total %d\n", planMisses+dc.Misses)
-	metric("pfd_plan_invalidations_total", "counter", "Cached plans invalidated by ruleset hot reloads.")
-	fmt.Fprintf(&b, "pfd_plan_invalidations_total %d\n", planInvalid)
 
 	// Durability: present even when disabled, so dashboards can key off
 	// pfd_durability_state without per-deployment conditionals.

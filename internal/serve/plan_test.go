@@ -3,7 +3,6 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
-	"strings"
 	"testing"
 
 	"pfd"
@@ -13,16 +12,11 @@ import (
 type planResponse struct {
 	Tenant string              `json:"tenant"`
 	Plan   pfd.PlanDescription `json:"plan"`
-	Cache  struct {
-		Hits          int64 `json:"hits"`
-		Misses        int64 `json:"misses"`
-		Invalidations int64 `json:"invalidations"`
-	} `json:"cache"`
 }
 
 // TestPlanEndpoint exercises the debug view end to end: 404s before a
-// ruleset exists, a first view compiling the plan (miss), a second
-// view served from the cache (hit), and a hot reload invalidating it.
+// ruleset exists, then the compiled description of the installed
+// ruleset, recompiled after a hot reload.
 func TestPlanEndpoint(t *testing.T) {
 	_, hs := newTestServer(t, nil)
 	base := hs.URL
@@ -48,40 +42,13 @@ func TestPlanEndpoint(t *testing.T) {
 	if pr.Tenant != "acme" || pr.Plan.Rules != 1 || pr.Plan.Groups != 1 || pr.Plan.DistinctCells != 2 {
 		t.Fatalf("plan view = %+v", pr)
 	}
-	if pr.Cache.Misses != 1 || pr.Cache.Hits != 0 {
-		t.Fatalf("first view should miss: %+v", pr.Cache)
-	}
-	pr = get()
-	if pr.Cache.Hits != 1 || pr.Cache.Misses != 1 {
-		t.Fatalf("second view should hit: %+v", pr.Cache)
-	}
 
-	// Hot reload drops the cached plan; the next view recompiles.
-	putRules(t, base, "acme", testRules())
+	// A hot reload to a two-rule ruleset shows in the next view.
+	putRules(t, base, "acme", pfd.NewRuleset("zip",
+		pfd.MustParsePFD(`Zip([zip = (\D{3})\D{2}] -> [city = _])`),
+		pfd.MustParsePFD(`Zip([zip = (\D{3})\D{2}] -> [state = _])`)))
 	pr = get()
-	if pr.Cache.Invalidations != 1 || pr.Cache.Misses != 2 {
-		t.Fatalf("reload should invalidate: %+v", pr.Cache)
-	}
-
-	// The counters surface on /metrics, per tenant and summed.
-	code, body := do(t, http.MethodGet, base+"/metrics", "", "")
-	if code != http.StatusOK {
-		t.Fatalf("GET /metrics: %d", code)
-	}
-	for _, want := range []string{
-		`pfd_tenant_plan_cache_hits_total{tenant="acme"} 1`,
-		`pfd_tenant_plan_cache_misses_total{tenant="acme"} 2`,
-		`pfd_tenant_plan_invalidations_total{tenant="acme"} 1`,
-		"pfd_plan_invalidations_total 1",
-	} {
-		if !strings.Contains(string(body), want) {
-			t.Errorf("metrics missing %q", want)
-		}
-	}
-	// The summed totals include the process-wide detection cache, so
-	// assert presence and at-least semantics rather than exact values.
-	if !strings.Contains(string(body), "pfd_plan_cache_hits_total ") ||
-		!strings.Contains(string(body), "pfd_plan_cache_misses_total ") {
-		t.Errorf("metrics missing server-wide plan cache totals:\n%s", body)
+	if pr.Plan.Rules != 2 || pr.Plan.Groups != 1 {
+		t.Fatalf("plan view after reload = %+v", pr)
 	}
 }

@@ -474,29 +474,23 @@ func (s *Server) handleRulesetGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePlan is the shared-evaluation plan debug view: how the
-// tenant's ruleset factors into distinct cells and shared LHS groups,
-// with the tenant's plan-cache counters alongside. The description is
-// cached per ruleset and invalidated by hot reload, so repeated views
-// of a large ruleset cost one compilation.
+// tenant's ruleset factors into distinct cells and shared LHS groups.
+// The description is compiled on every call — a pass over the
+// tableaux, cheap next to the HTTP round trip.
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	t, _ := s.tenant(r.PathValue("tenant"), false)
 	if t == nil {
 		writeError(w, http.StatusNotFound, "no such tenant")
 		return
 	}
-	d := t.planView()
-	if d == nil {
+	rs := t.ruleset()
+	if rs == nil {
 		writeError(w, http.StatusNotFound, "tenant has no ruleset")
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"tenant": t.name,
-		"plan":   d,
-		"cache": map[string]int64{
-			"hits":          t.planHits.Load(),
-			"misses":        t.planMisses.Load(),
-			"invalidations": t.planInvalid.Load(),
-		},
+		"plan":   rs.Plan(),
 	})
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,11 +49,6 @@ type tenant struct {
 	// violations fold in as they fire and batches advance support, so
 	// rules demote without re-mining. Replaced with the ruleset.
 	maint *pfd.Maintainer
-	// plan is the cached shared-evaluation plan description for the
-	// current ruleset (built lazily by planView, invalidated by
-	// setRuleset — the plan is a pure function of the ruleset, so the
-	// hot-reload swap is its only invalidation point).
-	plan *pfd.PlanDescription
 
 	// rowBase is the row total of closed engine generations. Written
 	// under mu (write-locked); read atomically so draining-state
@@ -65,9 +61,6 @@ type tenant struct {
 	// for RulesetInstalled records, restored across restarts.
 	gen         atomic.Int64
 	reloads     atomic.Int64
-	planHits    atomic.Int64
-	planMisses  atomic.Int64
-	planInvalid atomic.Int64
 	lastActive  atomic.Int64 // unixnano of the last ingest or reload
 	genDraining atomic.Bool  // an engine generation is mid-Close
 	stopped     atomic.Bool  // server drain: no new generations, ever
@@ -107,10 +100,6 @@ func (t *tenant) setRuleset(rs *pfd.Ruleset, raw []byte) (replaced bool, gen int
 		params = *rs.Provenance.Params
 	}
 	t.maint = pfd.NewMaintainer(rs.PFDs, params)
-	if t.plan != nil {
-		t.plan = nil
-		t.planInvalid.Add(1)
-	}
 	t.closeEngineLocked()
 	if replaced {
 		t.reloads.Add(1)
@@ -208,33 +197,6 @@ func (t *tenant) ruleset() *pfd.Ruleset {
 	return t.rules
 }
 
-// planView returns the shared-evaluation plan description for the
-// current ruleset, compiling and caching it on first request and
-// serving the cache until the next hot reload. Returns nil when no
-// ruleset is loaded. The recompile-after-swap race (rules swapped
-// between the read and the write lock) is resolved by re-checking the
-// ruleset pointer before caching: a stale description is never stored.
-func (t *tenant) planView() *pfd.PlanDescription {
-	t.mu.RLock()
-	cached, rs := t.plan, t.rules
-	t.mu.RUnlock()
-	if cached != nil {
-		t.planHits.Add(1)
-		return cached
-	}
-	if rs == nil {
-		return nil
-	}
-	t.planMisses.Add(1)
-	d := rs.Plan()
-	t.mu.Lock()
-	if t.rules == rs {
-		t.plan = &d
-	}
-	t.mu.Unlock()
-	return &d
-}
-
 // closeEngineLocked drains the current engine generation and folds its
 // row count — minus the generation's warm-replay rows, which are
 // reference data, not ingest — into rowBase. Violations need no
@@ -293,12 +255,6 @@ func (t *tenant) startEngineLocked() {
 	if t.cfg.Shards > 0 {
 		opts = append(opts, pfd.WithShards(t.cfg.Shards))
 	}
-	if t.cfg.Batch > 0 {
-		opts = append(opts, pfd.WithBatchSize(t.cfg.Batch))
-	}
-	if t.cfg.Flush != 0 {
-		opts = append(opts, pfd.WithFlushInterval(t.cfg.Flush))
-	}
 	t.eng = pfd.NewStreamEngineContext(t.base, t.rules.PFDs, opts...)
 	t.genWarm = 0
 	if t.ref != nil {
@@ -308,6 +264,10 @@ func (t *tenant) startEngineLocked() {
 			t.cfg.logf("tenant %s: warmup replay failed: %v", t.name, err)
 		} else {
 			t.eng.Snapshot() // barrier: drain warm batches before going live
+			// The replay's cell-evaluation pool is garbage now, but it
+			// set the heap goal to twice its size; collect it so live
+			// ingest garbage does not grow the heap to that goal.
+			runtime.GC()
 			t.genWarm = t.ref.NumRows()
 			warm.Store(int64(t.genWarm))
 		}
@@ -509,9 +469,6 @@ type tenantStatus struct {
 	LiveViolations int64   `json:"live_violations"`
 	RetroSignals   int64   `json:"retro_signals"`
 	Reloads        int64   `json:"reloads"`
-	PlanHits       int64   `json:"plan_cache_hits"`
-	PlanMisses     int64   `json:"plan_cache_misses"`
-	PlanInvalid    int64   `json:"plan_invalidations"`
 	TuplesPerSec   float64 `json:"tuples_per_sec"`
 	BacklogBatches int     `json:"backlog_batches"`
 	BacklogBuffer  int     `json:"backlog_buffered"`
@@ -524,9 +481,6 @@ func (t *tenant) status() tenantStatus {
 		LiveViolations: t.liveViolations.Load(),
 		RetroSignals:   t.retroSignals.Load(),
 		Reloads:        t.reloads.Load(),
-		PlanHits:       t.planHits.Load(),
-		PlanMisses:     t.planMisses.Load(),
-		PlanInvalid:    t.planInvalid.Load(),
 		IdleSec:        time.Since(time.Unix(0, t.lastActive.Load())).Seconds(),
 	}
 	if t.genDraining.Load() {

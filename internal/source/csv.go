@@ -1,7 +1,6 @@
 package source
 
 import (
-	"bufio"
 	"context"
 	"encoding/csv"
 	"errors"
@@ -81,7 +80,7 @@ func (s *CSVSource) Tuples(ctx context.Context) iter.Seq2[Tuple, error] {
 			return
 		}
 		defer cleanup()
-		cr := csv.NewReader(bufio.NewReaderSize(r, 1<<20))
+		cr := csv.NewReader(r)
 		cr.ReuseRecord = true
 		header, err := cr.Read()
 		if err == io.EOF {
@@ -132,7 +131,7 @@ func (s *CSVSource) ReadTable(ctx context.Context) (*relation.Table, error) {
 		return nil, err
 	}
 	defer cleanup()
-	cr := csv.NewReader(bufio.NewReaderSize(r, 1<<20))
+	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
 	header, err := cr.Read()
 	if err == io.EOF {

@@ -1,7 +1,6 @@
 package source
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -51,7 +50,7 @@ func (s *JSONLSource) Tuples(ctx context.Context) iter.Seq2[Tuple, error] {
 			return
 		}
 		defer cleanup()
-		dec := json.NewDecoder(bufio.NewReaderSize(r, 1<<20))
+		dec := json.NewDecoder(r)
 		for rec := 1; ; rec++ {
 			if rec%ctxCheckEvery == 0 {
 				if err := ctx.Err(); err != nil {

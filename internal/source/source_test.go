@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -210,4 +211,53 @@ func TestMaterializeCanceledContext(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
+}
+
+// TestSmallBodyDecodeAllocs bounds the heap a 25-row ingest body costs
+// to decode: csv.Reader and json.Decoder buffer their own input, so a
+// request-sized body must not pay for a large read buffer.
+func TestSmallBodyDecodeAllocs(t *testing.T) {
+	var csvBody, jsonBody strings.Builder
+	csvBody.WriteString("zip,city,state\n")
+	for i := 0; i < 25; i++ {
+		csvBody.WriteString("90001,Los Angeles,CA\n")
+		jsonBody.WriteString(`{"zip":"90001","city":"Los Angeles","state":"CA"}` + "\n")
+	}
+	ctx := context.Background()
+	drain := func(src Source) {
+		for _, err := range src.Tuples(ctx) {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const limit = 64 << 10
+	for _, tc := range []struct {
+		name   string
+		decode func()
+	}{
+		{"csv tuples", func() { drain(NewCSV("b", strings.NewReader(csvBody.String()))) }},
+		{"csv table", func() {
+			if _, err := NewCSV("b", strings.NewReader(csvBody.String())).ReadTable(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"jsonl tuples", func() { drain(NewJSONL("b", strings.NewReader(jsonBody.String()))) }},
+	} {
+		if got := bytesPerRun(20, tc.decode); got >= limit {
+			t.Errorf("%s: %d B per 25-row body, want < %d", tc.name, got, limit)
+		}
+	}
+}
+
+// bytesPerRun returns the mean heap bytes allocated by one call of fn.
+func bytesPerRun(runs int, fn func()) uint64 {
+	fn() // warm up lazily initialized package state
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }

@@ -1,9 +1,8 @@
 package pfd
 
 import (
-	"time"
-
 	"pfd/internal/discovery"
+	"pfd/internal/stream"
 )
 
 // DiscoveryProgress reports discovery progress at lattice-level
@@ -106,11 +105,10 @@ func WithoutSharedPlan() DetectOption {
 type StreamOption func(*streamConfig)
 
 type streamConfig struct {
-	engine     StreamOptions
-	workers    int
-	warm       Source
-	sequential bool
-	progress   func(rowsSubmitted int)
+	engine   stream.Options
+	workers  int
+	warm     Source
+	progress func(rowsSubmitted int)
 }
 
 func newStreamConfig(opts []StreamOption) streamConfig {
@@ -133,25 +131,10 @@ func WithShards(n int) StreamOption {
 	}
 }
 
-// WithBatchSize sets how many routed updates accumulate per shard
-// before the buffer is handed to the worker. <= 0 means the default.
-func WithBatchSize(n int) StreamOption {
-	return func(c *streamConfig) { c.engine.BatchSize = n }
-}
-
-// WithFlushInterval bounds the latency of partially filled batches
-// under slow traffic. 0 means the default; negative disables timed
-// flushes.
-func WithFlushInterval(d time.Duration) StreamOption {
-	return func(c *streamConfig) { c.engine.FlushInterval = d }
-}
-
 // WithViolationHandler registers a callback invoked as each violation
-// is found. Under the sharded engine it runs on shard workers —
-// concurrently, so it must be safe for parallel use, and it must not
-// call back into the engine. During a WithWarmup replay the handler is
-// not invoked. Under WithSequentialChecker it runs synchronously on
-// the validating goroutine.
+// is found. It runs on the engine's shard workers — concurrently, so
+// it must be safe for parallel use, and it must not call back into the
+// engine. During a WithWarmup replay the handler is not invoked.
 func WithViolationHandler(fn func(StreamViolation)) StreamOption {
 	return func(c *streamConfig) { c.engine.OnViolation = fn }
 }
@@ -179,16 +162,6 @@ func WithWarmup(ref Source) StreamOption {
 // submission-order (row id) nondeterminism.
 func WithWorkers(n int) StreamOption {
 	return func(c *streamConfig) { c.workers = n }
-}
-
-// WithSequentialChecker makes Validate run the incremental sequential
-// Checker instead of the sharded engine: same consensus semantics
-// (pinned by the engine's differential test), no extra goroutines —
-// the right mode for modest streams or single-threaded embedding.
-// Engine tuning options (shards, batching, flush) are ignored;
-// WithWorkers is ignored (the Checker is inherently sequential).
-func WithSequentialChecker() StreamOption {
-	return func(c *streamConfig) { c.sequential = true }
 }
 
 // WithValidateProgress registers a callback invoked periodically (every

@@ -43,11 +43,10 @@
 //	    fmt.Printf("%s: %q should be %q\n", f.Cell, f.Observed, f.Proposed)
 //	}
 //
-// The v1 entry points remain as thin deprecated wrappers
-// (DiscoverTable, DetectTable, RepairTableToFixpoint, ReadCSVFile,
-// NewStreamEngine); DESIGN.md carries the full v1 → v2 migration
-// table. See examples/ for runnable programs and DESIGN.md for the
-// map from paper sections to packages.
+// Streaming validation has one production path, the sharded engine
+// behind Validate and NewStreamEngineContext. See examples/ for
+// runnable programs and DESIGN.md for the map from paper sections to
+// packages.
 package pfd
 
 import (
@@ -60,7 +59,6 @@ import (
 	"pfd/internal/pfd"
 	"pfd/internal/relation"
 	"pfd/internal/repair"
-	"pfd/internal/source"
 	"pfd/internal/stream"
 )
 
@@ -106,15 +104,6 @@ func NewTable(name string, cols ...string) *Table { return relation.New(name, co
 // ColumnProfile is the per-column profile of Sections 4.3 and 5.4
 // (quantitative detection, code detection, tokenizer selection).
 type ColumnProfile = relation.ColumnProfile
-
-// ReadCSVFile loads a table from a CSV file with a header row. Errors
-// are *ParseError values naming the table and the file path.
-//
-// Deprecated: use ReadTable with FromCSVFile, which is cancellable and
-// shares the v2 ingestion layer.
-func ReadCSVFile(name, path string) (*Table, error) {
-	return source.Materialize(context.Background(), source.CSVFile(name, path))
-}
 
 // PFD is a pattern functional dependency R(X -> B, Tp) in normal form.
 type PFD = pfd.PFD
@@ -163,37 +152,8 @@ func DefaultParams() Params { return discovery.DefaultParams() }
 // Dependency is one discovered embedded dependency with its PFD.
 type Dependency = discovery.Dependency
 
-// DiscoveryResult is the output of DiscoverTable (the v1 form; v2
-// Discover returns *Discovery).
-type DiscoveryResult struct {
-	*discovery.Result
-}
-
-// DiscoverTable runs the paper's Figure 4 algorithm on a table.
-//
-// Deprecated: use Discover, which takes a context and a Source and
-// reports progress through options.
-func DiscoverTable(t *Table, params Params) DiscoveryResult {
-	return DiscoveryResult{discovery.Discover(t, params)}
-}
-
-// PFDs returns the discovered PFDs.
-func (r DiscoveryResult) PFDs() []*PFD {
-	out := make([]*PFD, len(r.Dependencies))
-	for i, d := range r.Dependencies {
-		out[i] = d.PFD
-	}
-	return out
-}
-
 // Finding is one detected cell error with its proposed repair.
 type Finding = repair.Finding
-
-// DetectTable applies PFDs to a table and returns deduplicated
-// findings.
-//
-// Deprecated: use Detect, which takes a context and a Source.
-func DetectTable(t *Table, pfds []*PFD) []Finding { return repair.Detect(t, pfds) }
 
 // Repair applies the proposed fixes to a copy of the table, returning the
 // repaired copy and the number of cells changed.
@@ -202,44 +162,20 @@ func Repair(t *Table, findings []Finding) (*Table, int) { return repair.Apply(t,
 // HolisticResult reports a fixpoint repair run.
 type HolisticResult = repair.HolisticResult
 
-// RepairTableToFixpoint runs detect-repair rounds until no proposable
-// repair remains (chained errors such as a wrong zip masking a wrong
-// city need more than one pass). maxRounds <= 0 uses the default
-// budget.
-//
-// Deprecated: use RepairToFixpoint, which takes a context and a
-// Source.
-func RepairTableToFixpoint(t *Table, pfds []*PFD, maxRounds int) HolisticResult {
-	return repair.Holistic(t, pfds, repair.HolisticOptions{MaxRounds: maxRounds})
-}
-
-// Checker validates tuples against PFDs incrementally, for ingest-time
-// cleaning; see NewChecker.
-type Checker = pfd.Checker
-
-// StreamViolation is a violation raised by the incremental Checker.
+// StreamViolation is a violation raised by the streaming engine.
 type StreamViolation = pfd.StreamViolation
 
-// MissingColumnError is returned by Checker.CheckNext and
-// StreamEngine.Submit when a tuple lacks a column some PFD references.
+// MissingColumnError is returned by Validate and StreamEngine.Submit
+// when a tuple lacks a column some PFD references.
 type MissingColumnError = pfd.MissingColumnError
-
-// NewChecker creates an incremental checker: each CheckNext call
-// validates one tuple against the group state accumulated so far, with
-// the same consensus semantics as the batch detector. For concurrent,
-// high-throughput validation use NewStreamEngine instead.
-func NewChecker(pfds []*PFD) *Checker { return pfd.NewChecker(pfds) }
 
 // StreamEngine is the sharded, batched streaming validator: group
 // state is partitioned by hash(pfd, tableau row, LHS key) across
 // worker-owned shards, Submit is safe for concurrent producers, and
-// Snapshot/Close report violations with exactly the sequential
-// Checker's consensus semantics (pinned by a differential test).
+// Snapshot/Close report violations with the paper's per-group
+// consensus semantics (pinned by a differential test against the
+// sequential reference checker in internal/pfd).
 type StreamEngine = stream.Engine
-
-// StreamOptions configure a StreamEngine (shard count, batch size,
-// flush interval, live violation callback).
-type StreamOptions = stream.Options
 
 // StreamReport is a consistent snapshot of a StreamEngine.
 type StreamReport = stream.Report
@@ -263,24 +199,13 @@ const (
 // tuples.
 var ErrEngineClosed = stream.ErrClosed
 
-// NewStreamEngine starts a sharded streaming validator over the PFDs.
-// Close it to release the shard workers and obtain the final report.
-//
-// Deprecated: use Validate for source-driven runs, or
-// NewStreamEngineContext for a manually driven engine whose workers
-// honor cancellation.
-func NewStreamEngine(pfds []*PFD, opts StreamOptions) *StreamEngine {
-	return stream.New(pfds, opts)
-}
-
 // NewStreamEngineContext starts a sharded streaming validator whose
 // write path and shard workers observe ctx: when it is canceled,
 // Submit fails fast with the context error, backpressure-stalled
 // producers unblock, and the workers stop applying updates. Close must
 // still be called to release the workers. Options are the functional
 // StreamOption set; the manual-lifecycle engine ignores the
-// Validate-only options (warmup source, producer count, sequential
-// mode, progress).
+// Validate-only options (warmup source, producer count, progress).
 func NewStreamEngineContext(ctx context.Context, pfds []*PFD, opts ...StreamOption) *StreamEngine {
 	cfg := newStreamConfig(opts)
 	return stream.NewContext(ctx, pfds, cfg.engine)

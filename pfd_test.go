@@ -1,6 +1,7 @@
 package pfd_test
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -25,14 +26,20 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 
 	// δ must admit one dirty tuple among the seven 900-prefix rows
 	// (1/7 ≈ 14.3%), so 15% here; the paper's 5% presumes larger groups.
-	// This test deliberately stays on the deprecated v1 wrappers: they
-	// must keep working verbatim (api_test.go covers the v2 forms and
-	// pins them against these).
-	res := pfd.DiscoverTable(tb, pfd.Params{MinSupport: 5, Delta: 0.15, MinCoverage: 0.1})
-	if len(res.Dependencies) == 0 {
+	ctx := context.Background()
+	disc, err := pfd.Discover(ctx, pfd.FromTable(tb),
+		pfd.WithParams(pfd.Params{MinSupport: 5, Delta: 0.15, MinCoverage: 0.1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(disc.Dependencies()) == 0 {
 		t.Fatal("nothing discovered")
 	}
-	findings := pfd.DetectTable(tb, res.PFDs())
+	det, err := pfd.Detect(ctx, pfd.FromTable(tb), disc.PFDs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	findings := det.Findings()
 	var hit bool
 	for _, f := range findings {
 		if f.Cell == (pfd.Cell{Row: 12, Col: "city"}) && f.Proposed == "Los Angeles" {
@@ -103,7 +110,8 @@ func TestReadCSVFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte("zip,city\n90001,Los Angeles\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	tb, err := pfd.ReadCSVFile("Zip", path)
+	ctx := context.Background()
+	tb, err := pfd.ReadTable(ctx, pfd.FromCSVFile("Zip", path))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +119,7 @@ func TestReadCSVFile(t *testing.T) {
 		t.Error("CSV load wrong")
 	}
 	missing := filepath.Join(dir, "missing.csv")
-	_, err = pfd.ReadCSVFile("x", missing)
+	_, err = pfd.ReadTable(ctx, pfd.FromCSVFile("x", missing))
 	if err == nil {
 		t.Fatal("missing file must error")
 	}

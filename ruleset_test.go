@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"pfd"
+	ipfd "pfd/internal/pfd"
 )
 
 // discoveredRuleset mines a small zip/city/state table and returns
@@ -279,23 +280,38 @@ func TestRulesetArtifactDetectByteIdentical(t *testing.T) {
 
 // TestRulesetValidateMissingColumnTyped pins the typed error contract
 // when a ruleset references a column the source does not carry: both
-// engine modes of Validate must surface *MissingColumnError naming
-// the column, not a stringly error.
+// Validate and the sequential reference Checker it is pinned against
+// must surface *MissingColumnError naming the column, not a stringly
+// error.
 func TestRulesetValidateMissingColumnTyped(t *testing.T) {
 	rs := pfd.NewRuleset("strict",
 		pfd.MustParsePFD(`Zip([zip = (\D{3})\D{2}] -> [state = _])`),
 	)
 	in := `{"zip":"90001"}` + "\n" // no "state" key at all
+	ctx := context.Background()
 	for _, mode := range []struct {
 		name string
-		opts []pfd.StreamOption
+		run  func() error
 	}{
-		{"sharded", nil},
-		{"sequential", []pfd.StreamOption{pfd.WithSequentialChecker()}},
+		{"sharded", func() error {
+			_, err := rs.Validate(ctx, pfd.FromJSONL("stream", strings.NewReader(in)))
+			return err
+		}},
+		{"sequential", func() error {
+			c := ipfd.NewChecker(rs.PFDs)
+			for tuple, err := range pfd.FromJSONL("stream", strings.NewReader(in)).Tuples(ctx) {
+				if err != nil {
+					return err
+				}
+				if _, err := c.CheckNext(tuple); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
-			_, err := rs.Validate(context.Background(),
-				pfd.FromJSONL("stream", strings.NewReader(in)), mode.opts...)
+			err := mode.run()
 			var mce *pfd.MissingColumnError
 			if !errors.As(err, &mce) {
 				t.Fatalf("err = %v (%T), want *MissingColumnError", err, err)

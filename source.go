@@ -55,7 +55,7 @@ func FromCSVFile(name, path string) Source { return source.CSVFile(name, path) }
 // FromJSONL wraps a reader of JSONL (one flat JSON object per line) as
 // a Source. Non-string scalars are stringified; nested values are
 // *ParseError failures; an explicit null is an absent key — on the
-// streaming path (Validate, the Checker) a null in a referenced column
+// streaming path (Validate, the stream engine) a null in a referenced column
 // therefore surfaces as a *MissingColumnError, while batch entry
 // points (Discover, Detect), which materialize the stream into a
 // rectangular table first, necessarily fill absent keys with "".
@@ -96,8 +96,8 @@ func FromTuples(name string, cols []string, ch <-chan Tuple) Source {
 	return source.FromChan(name, cols, ch)
 }
 
-// ReadTable materializes a Source into a Table: the cancellable v2
-// replacement for ReadCSVFile, and the explicit form of what Discover
+// ReadTable materializes a Source into a Table, cancellably: the
+// explicit form of what Discover
 // and Detect do internally. Sources with a native column order (CSV,
 // tables) keep it; schemaless sources (JSONL, channels without
 // declared columns) get the sorted union of the keys seen.
