@@ -316,14 +316,14 @@ func Validate(ctx context.Context, src Source, pfds []*PFD, opts ...StreamOption
 }
 
 // warmEngine folds the WithWarmup reference into the engine. Sources
-// that can materialize a table (CSV files, in-memory tables) take the
-// engine's dictionary-encoded fast path: SubmitTable matches each
-// tableau cell once per distinct column value and replays the rows as
-// code lookups. The trade is memory for matching time — the reference
-// is held in RAM for the replay (references are curated clean batches,
-// and the rule-producing paths materialize them anyway); a caller with
-// a reference too large to materialize can wrap it in a plain Source
-// (no ReadTable) to keep the bounded per-tuple loop, which remains the
+// that can materialize a table (CSV files, in-memory tables) are
+// replayed with SubmitTable, which reads each row's values straight
+// from the table's columns instead of building a tuple map per row; the
+// match phase is the same as Submit's. The reference is held in RAM for
+// the replay (references are curated clean batches, and the
+// rule-producing paths materialize them anyway); a caller with a
+// reference too large to materialize can wrap it in a plain Source (no
+// ReadTable) to keep the bounded per-tuple loop, which remains the
 // fallback for every other source.
 func warmEngine(ctx context.Context, eng *stream.Engine, ref Source) (int, error) {
 	if tr, ok := ref.(source.TableReader); ok {

@@ -318,6 +318,21 @@ func (m *Matcher) ConstrainedSpan(s string) (string, bool) {
 	}
 }
 
+// Anchor states a literal every matching string carries: after skip
+// runes the string continues with the bytes of lit, and when exact is
+// set the string equals lit. ok is false when the shape pins no literal
+// (or only the empty one at a variable position). Callers may use it as
+// a sound pre-filter; Match remains the verdict.
+func (m *Matcher) Anchor() (skip int, lit string, exact, ok bool) {
+	switch m.shape {
+	case shapeConstant:
+		return 0, m.constant, true, true
+	case shapePrefix:
+		return m.skip, m.lit, false, m.lit != ""
+	}
+	return 0, "", false, false
+}
+
 // Equivalent implements s ≡Q s' on the compiled matcher.
 func (m *Matcher) Equivalent(s1, s2 string) bool {
 	a, ok := m.ConstrainedSpan(s1)

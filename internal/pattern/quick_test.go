@@ -205,3 +205,83 @@ func TestQuickRestrictsSoundOnSamples(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// anchorProbe draws a pattern that often has an anchor: a random
+// pattern, a constant, or the prefix shape [\A{k}] literal-run \A*,
+// with or without a constrained region.
+func anchorProbe(r *rand.Rand) *Pattern {
+	switch r.Intn(3) {
+	case 0:
+		return randomPattern(r)
+	case 1:
+		return Constant(randomString(r, 4))
+	}
+	var toks []Token
+	if r.Intn(2) == 0 {
+		toks = append(toks, Exactly(Any, 1+r.Intn(3)))
+	}
+	lo := len(toks)
+	for k := r.Intn(3); k >= 0; k-- {
+		toks = append(toks, Exactly(Literal, 1+r.Intn(2)))
+		toks[len(toks)-1].Lit = []rune("aZ9 é")[r.Intn(5)]
+	}
+	hi := len(toks)
+	toks = append(toks, Star(Any))
+	if r.Intn(2) == 0 {
+		return New(toks...)
+	}
+	return NewConstrained(toks, lo, hi)
+}
+
+// anchorString draws a string for p: a sample of p, a random string, or
+// a sample with one rune replaced by a multi-byte rune.
+func anchorString(r *rand.Rand, p *Pattern) string {
+	switch r.Intn(3) {
+	case 0:
+		return randomString(r, 8)
+	case 1:
+		rs := []rune(sample(r, p))
+		if len(rs) > 0 {
+			rs[r.Intn(len(rs))] = []rune("éü€")[r.Intn(3)]
+		}
+		return string(rs)
+	}
+	return sample(r, p)
+}
+
+// TestQuickAnchorSound pins the stream engine's dispatch index to the
+// reference DP: whenever refMatch accepts s and the compiled matcher
+// states an anchor, s carries the literal at rune offset skip (and is
+// the literal when exact).
+func TestQuickAnchorSound(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	anchored := 0
+	f := func() bool {
+		p := anchorProbe(r)
+		skip, lit, exact, ok := p.Compiled().Anchor()
+		if !ok {
+			return true
+		}
+		for i := 0; i < 8; i++ {
+			s := anchorString(r, p)
+			if !p.refMatch(s) {
+				continue
+			}
+			anchored++
+			rs, lr := []rune(s), []rune(lit)
+			if len(rs) < skip+len(lr) || string(rs[skip:skip+len(lr)]) != lit {
+				return false
+			}
+			if exact && s != lit {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	if anchored < 1000 {
+		t.Fatalf("only %d anchored matches checked; generators too weak", anchored)
+	}
+}

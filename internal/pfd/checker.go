@@ -241,8 +241,9 @@ func (c *Checker) Rows() int { return c.rows }
 
 // LHSKey returns the tuple's LHS-equivalence key under tableau row tr —
 // the NUL-separated concatenation of its constrained LHS spans — or
-// ok=false when the row does not apply to the tuple. The Checker and
-// the stream engine key (and shard) their group state by it.
+// ok=false when the row does not apply to the tuple. The Checker keys
+// its group state by it; the stream engine builds the same key from its
+// value vector (and shards by it).
 func LHSKey(p *PFD, tr Row, tuple map[string]string) (string, bool) {
 	var b strings.Builder
 	for j, a := range p.LHS {

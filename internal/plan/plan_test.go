@@ -233,26 +233,6 @@ func TestCacheIdentity(t *testing.T) {
 	}
 }
 
-// TestCellPoolSharing checks the one-pass pool returns one evaluation
-// per distinct (column, cell).
-func TestCellPoolSharing(t *testing.T) {
-	dict := []string{"90001", "XYZ", ""}
-	pool := NewCellPool()
-	c1 := pfd.Pat(pattern.MustParse(`(\D{3})\D{2}`))
-	c2 := pfd.Pat(pattern.MustParse(`(\D{3})\D{2}`))
-	e1 := pool.Eval(c1, 0, dict)
-	if pool.Eval(c2, 0, dict) != e1 {
-		t.Fatal("structurally identical cells on one column should share")
-	}
-	if pool.Eval(c1, 1, dict) == e1 {
-		t.Fatal("different columns must not share")
-	}
-	want := pfd.EvalCellSpans(c1, dict)
-	if !reflect.DeepEqual(*e1, want) {
-		t.Fatalf("pooled evaluation differs: %+v vs %+v", *e1, want)
-	}
-}
-
 // TestBuildIsFast sanity-bounds plan construction: the acceptance bar
 // is 100µs for 100 rules; the test allows generous CI headroom while
 // still catching an accidental O(rows) or quadratic build.

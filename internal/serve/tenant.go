@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -264,10 +263,6 @@ func (t *tenant) startEngineLocked() {
 			t.cfg.logf("tenant %s: warmup replay failed: %v", t.name, err)
 		} else {
 			t.eng.Snapshot() // barrier: drain warm batches before going live
-			// The replay's cell-evaluation pool is garbage now, but it
-			// set the heap goal to twice its size; collect it so live
-			// ingest garbage does not grow the heap to that goal.
-			runtime.GC()
 			t.genWarm = t.ref.NumRows()
 			warm.Store(int64(t.genWarm))
 		}

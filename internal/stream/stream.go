@@ -5,14 +5,19 @@
 // The design separates the write path from the read path (the
 // Polynesia-style split: specialized layouts per access path):
 //
-//   - Write path: Submit matches the tuple against every tableau row
-//     in the calling goroutine (pattern matching is the expensive,
-//     embarrassingly parallel part — concurrent producers scale it),
-//     then routes the resulting consensus updates to shards under a
-//     short critical section that only assigns the row id and appends
-//     to per-shard batch buffers. Buffers flush to the shard's channel
-//     when they reach Options.BatchSize, or when Options.FlushInterval
-//     elapses, amortizing channel overhead across tuples.
+//   - Write path: Submit (one tuple map) and SubmitTable (the rows of a
+//     materialized table) resolve each tuple into a value vector and
+//     run one match phase in the calling goroutine (pattern matching is
+//     the expensive, embarrassingly parallel part — concurrent
+//     producers scale it). A per-PFD tableau dispatch index, built once
+//     at construction, narrows each tuple to the tableau rows its
+//     anchored literals can select; the cell matchers confirm those
+//     (dispatch.go). The resulting consensus updates are then routed to
+//     shards under a short critical section that only assigns the row
+//     id and appends to per-shard batch buffers. Buffers flush to the
+//     shard's channel when they reach Options.BatchSize, or when
+//     Options.FlushInterval elapses, amortizing channel overhead across
+//     tuples.
 //
 //   - Shard path: group state is partitioned by
 //     hash(pfd, tableauRow, lhsKey) across Options.Shards worker
@@ -21,7 +26,7 @@
 //     sequential Checker's consensus automaton on its slice of the
 //     group space — the union of shard outputs is identical to the
 //     sequential output for every shard count (pinned by the
-//     differential test in stream_test.go).
+//     differential tests in stream_test.go and dispatch_test.go).
 //
 //   - Read path: Snapshot flushes every pending buffer and sends a
 //     barrier op down each shard channel — channel FIFO guarantees the
@@ -40,7 +45,6 @@ import (
 	"time"
 
 	"pfd/internal/pfd"
-	"pfd/internal/plan"
 	"pfd/internal/relation"
 )
 
@@ -176,22 +180,15 @@ type shard struct {
 	log []pfd.StreamViolation // owned by the worker until it exits
 }
 
-// rowMeta caches the per-tableau-row facts Submit needs on every tuple.
-type rowMeta struct {
-	constantLHS bool
-	// constRHS is the expected constant when constantLHS and the RHS
-	// pins one; "" otherwise — mirroring the sequential Checker, which
-	// reports Expected="" for a non-constant RHS mismatch.
-	constRHS string
-}
-
 // Engine is the sharded streaming validator. Submit may be called from
 // any number of goroutines; Snapshot and Close are also safe for
 // concurrent use.
 type Engine struct {
-	pfds     []*pfd.PFD
-	meta     [][]rowMeta
+	pfds []*pfd.PFD
+	// required lists the columns a tuple must carry; a tuple's value
+	// vector holds one value per entry, in this order.
 	required []pfd.RequiredColumn
+	index    []ruleIndex // per PFD, immutable after NewContext
 	opts     Options
 	// ctx is the engine's lifetime context (Background for New). Its
 	// cancellation makes Submit fail fast, unblocks any producer
@@ -213,8 +210,8 @@ type Engine struct {
 	final     Report
 	state     atomic.Int32 // EngineState; written only by Close
 
-	batchPool sync.Pool // *[]update with cap >= BatchSize
-	upsPool   sync.Pool // *[]update scratch for Submit's match phase
+	batchPool   sync.Pool // *[]update with cap >= BatchSize
+	scratchPool sync.Pool // *matchScratch for Submit's match phase
 }
 
 // New creates and starts an engine validating against pfds. The caller
@@ -255,24 +252,21 @@ func NewContext(ctx context.Context, pfds []*pfd.PFD, opts Options) *Engine {
 	e := &Engine{
 		ctx:       ctx,
 		pfds:      pfds,
-		meta:      make([][]rowMeta, len(pfds)),
 		required:  pfd.RequiredColumnRefs(pfds),
+		index:     make([]ruleIndex, len(pfds)),
 		opts:      opts,
 		shards:    make([]*shard, opts.Shards),
 		pending:   make([][]update, opts.Shards),
 		stopFlush: make(chan struct{}),
 	}
 	e.batchPool.New = func() any { s := make([]update, 0, opts.BatchSize); return &s }
-	e.upsPool.New = func() any { s := make([]update, 0, 16); return &s }
+	e.scratchPool.New = func() any { return e.newScratch() }
+	pos := make(map[string]int, len(e.required))
+	for i, rc := range e.required {
+		pos[rc.Column] = i
+	}
 	for pi, p := range pfds {
-		e.meta[pi] = make([]rowMeta, len(p.Tableau))
-		for ri, tr := range p.Tableau {
-			m := &e.meta[pi][ri]
-			m.constantLHS = tr.ConstantLHS()
-			if m.constantLHS {
-				m.constRHS, _ = tr.RHS.Constant()
-			}
-		}
+		e.index[pi] = newRuleIndex(p, pos)
 	}
 	for i := range e.shards {
 		s := &shard{in: make(chan batch, 8), st: map[groupKey]*pfd.GroupState{}}
@@ -298,39 +292,25 @@ func (e *Engine) Submit(tuple map[string]string) error {
 	if err := e.ctx.Err(); err != nil {
 		return err
 	}
-	for _, rc := range e.required {
-		if _, ok := tuple[rc.Column]; !ok {
+	m := e.scratchPool.Get().(*matchScratch)
+	defer func() {
+		clear(m.vals) // drop references into the caller's tuple
+		e.scratchPool.Put(m)
+	}()
+	for i, rc := range e.required {
+		v, ok := tuple[rc.Column]
+		if !ok {
 			return &pfd.MissingColumnError{Column: rc.Column, PFD: rc.PFD}
 		}
+		m.vals[i] = v
 	}
+	e.matchRow(m)
+	return e.routeRow(m.ups)
+}
 
-	// Match phase: no shared state touched.
-	upsp := e.upsPool.Get().(*[]update)
-	ups := (*upsp)[:0]
-	for pi, p := range e.pfds {
-		for ri, tr := range p.Tableau {
-			key, ok := pfd.LHSKey(p, tr, tuple)
-			if !ok {
-				continue
-			}
-			m := e.meta[pi][ri]
-			if m.constantLHS && !tr.RHS.Match(tuple[p.RHS]) {
-				ups = append(ups, update{pfdIdx: pi, rowIdx: ri, key: key, span: m.constRHS, kind: opConstMismatch})
-				continue
-			}
-			span, ok := tr.RHS.Span(tuple[p.RHS])
-			if !ok {
-				ups = append(ups, update{pfdIdx: pi, rowIdx: ri, key: key, kind: opSpanMiss})
-				continue
-			}
-			ups = append(ups, update{pfdIdx: pi, rowIdx: ri, key: key, span: span, kind: opApply})
-		}
-	}
-
-	err := e.routeRow(ups)
-	*upsp = ups
-	e.upsPool.Put(upsp)
-	return err
+// newScratch returns match-phase scratch sized for e's value vector.
+func (e *Engine) newScratch() *matchScratch {
+	return &matchScratch{vals: make([]string, len(e.required)), ups: make([]update, 0, 16)}
 }
 
 // routeRow is the route phase shared by Submit and SubmitTable: assign
@@ -359,91 +339,29 @@ func (e *Engine) routeRow(ups []update) error {
 
 // SubmitTable folds every row of a materialized table into the engine,
 // in row order, with the same semantics as per-tuple Submit calls. It
-// is the dictionary-encoded fast path for table-backed references (the
-// WithWarmup replay): every tableau cell is matched once per distinct
-// value of its column, and the per-row match phase collapses to code
-// lookups — O(distinct × match + rows × lookup) instead of
-// O(rows × match).
+// reads each row's values straight from the table's columns (no tuple
+// maps) and runs the same match phase as Submit; it is the warm-replay
+// path for table-backed references.
 func (e *Engine) SubmitTable(t *relation.Table) error {
 	if err := e.ctx.Err(); err != nil {
 		return err
 	}
-	for _, rc := range e.required {
-		if t.Col(rc.Column) < 0 {
+	cols := make([]int, len(e.required))
+	for i, rc := range e.required {
+		if cols[i] = t.Col(rc.Column); cols[i] < 0 {
 			return &pfd.MissingColumnError{Column: rc.Column, PFD: rc.PFD}
 		}
 	}
-
-	// Evaluate every tableau cell over its column's dictionary once —
-	// once per *distinct* (column, cell) across the whole ruleset, via
-	// the planner's evaluation pool: rules in a tenant's ruleset share
-	// cells heavily, and the pool makes warmup cost scale with the
-	// distinct cells rather than the rule count. The pool lives for this
-	// one table pass only (dictionaries are pinned by t).
-	pool := plan.NewCellPool()
-	type rowEval struct {
-		lhs      []*pfd.SpanEval
-		lhsCodes [][]uint32
-		rhs      *pfd.SpanEval
-		rhsCodes []uint32
-	}
-	evs := make([][]rowEval, len(e.pfds))
-	for pi, p := range e.pfds {
-		rhsCol := t.MustCol(p.RHS)
-		evs[pi] = make([]rowEval, len(p.Tableau))
-		for ri, tr := range p.Tableau {
-			re := &evs[pi][ri]
-			re.rhs = pool.Eval(tr.RHS, rhsCol, t.Dict(rhsCol))
-			re.rhsCodes = t.Codes(rhsCol)
-			re.lhs = make([]*pfd.SpanEval, len(p.LHS))
-			re.lhsCodes = make([][]uint32, len(p.LHS))
-			for j, a := range p.LHS {
-				ci := t.MustCol(a)
-				re.lhs[j] = pool.Eval(tr.LHS[j], ci, t.Dict(ci))
-				re.lhsCodes[j] = t.Codes(ci)
-			}
-		}
-	}
-
-	var keyBuf []byte
-	ups := make([]update, 0, 16)
+	m := e.newScratch()
 	for id := 0; id < t.NumRows(); id++ {
 		if err := e.ctx.Err(); err != nil {
 			return err
 		}
-		ups = ups[:0]
-		for pi, p := range e.pfds {
-			for ri := range p.Tableau {
-				re := &evs[pi][ri]
-				keyBuf = keyBuf[:0]
-				ok := true
-				for j := range re.lhs {
-					code := re.lhsCodes[j][id]
-					if !re.lhs[j].Ok[code] {
-						ok = false
-						break
-					}
-					keyBuf = append(keyBuf, re.lhs[j].Span[code]...)
-					keyBuf = append(keyBuf, '\x00')
-				}
-				if !ok {
-					continue
-				}
-				key := string(keyBuf) // same layout as pfd.LHSKey
-				m := e.meta[pi][ri]
-				code := re.rhsCodes[id]
-				if !re.rhs.Ok[code] {
-					if m.constantLHS {
-						ups = append(ups, update{pfdIdx: pi, rowIdx: ri, key: key, span: m.constRHS, kind: opConstMismatch})
-					} else {
-						ups = append(ups, update{pfdIdx: pi, rowIdx: ri, key: key, kind: opSpanMiss})
-					}
-					continue
-				}
-				ups = append(ups, update{pfdIdx: pi, rowIdx: ri, key: key, span: re.rhs.Span[code], kind: opApply})
-			}
+		for i, c := range cols {
+			m.vals[i] = t.At(id, c)
 		}
-		if err := e.routeRow(ups); err != nil {
+		e.matchRow(m)
+		if err := e.routeRow(m.ups); err != nil {
 			return err
 		}
 	}
