@@ -107,10 +107,10 @@ func TestPlannedGeneratedRuleset(t *testing.T) {
 	}
 	pfds = pfds[:100]
 
-	pl := assertPlannedIdentical(t, tbl, pfds)
+	pl, skipped := assertPlannedIdentical(t, tbl, pfds)
 	d := pl.Describe()
-	if d.SharedGroups == 0 || d.ShortCircuited == 0 {
-		t.Fatalf("generated ruleset should exercise sharing and short-circuits: %+v", d)
+	if d.SharedGroups == 0 || skipped == 0 {
+		t.Fatalf("generated ruleset should exercise sharing and short-circuits: %d skipped, %+v", skipped, d)
 	}
 	if d.DistinctCells >= d.TableauRows*2 {
 		t.Fatalf("no cell dedup happened: %d distinct cells for %d tableau rows", d.DistinctCells, d.TableauRows)
@@ -118,12 +118,15 @@ func TestPlannedGeneratedRuleset(t *testing.T) {
 }
 
 // assertPlannedIdentical checks planned == independent at the
-// violation level and the detection level, returning the plan for
-// further inspection.
-func assertPlannedIdentical(t *testing.T, tbl *relation.Table, pfds []*pfd.PFD) *plan.Plan {
+// violation level and the detection level, returning the plan and the
+// number of groups its execute short-circuited for further inspection.
+func assertPlannedIdentical(t *testing.T, tbl *relation.Table, pfds []*pfd.PFD) (*plan.Plan, int) {
 	t.Helper()
 	pl := plan.New(pfds)
-	got := pl.Violations(tbl)
+	got, skipped, err := pl.Run(context.Background(), tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, p := range pfds {
 		want := p.Violations(tbl)
 		if !reflect.DeepEqual(got[i], want) {
@@ -139,5 +142,5 @@ func assertPlannedIdentical(t *testing.T, tbl *relation.Table, pfds []*pfd.PFD) 
 	if !reflect.DeepEqual(planned, naive) {
 		t.Fatalf("planned detection diverges from independent: %d vs %d findings", len(planned), len(naive))
 	}
-	return pl
+	return pl, skipped
 }

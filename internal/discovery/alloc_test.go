@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"pfd/internal/index"
+	"pfd/internal/pattern"
+	"pfd/internal/pfd"
 	"pfd/internal/relation"
 )
 
@@ -65,5 +67,38 @@ func TestExtendAllocs(t *testing.T) {
 	const limit = 20
 	if avg > limit {
 		t.Fatalf("extend allocates %.1f per run, want <= %d", avg, limit)
+	}
+}
+
+// TestGeneralizeValidationAllocs pins generalize's count-and-coverage
+// pass (pfd.CountRow on the candidate variable row) to a budget that
+// does not grow with the table or its violations: it evaluates each
+// cell once per distinct value and counts group verdicts, and never
+// materializes a Violation or its Cells slices. The fixture's 2,000
+// rows carry 154 RHS deviations, each of which Violations would
+// report with two Cells slices.
+func TestGeneralizeValidationAllocs(t *testing.T) {
+	tb := relation.New("T", "zip", "city")
+	for i := 0; i < 2000; i++ {
+		city := fmt.Sprintf("city%d", i%20)
+		if i%13 == 0 {
+			city = "typo"
+		}
+		tb.Append(fmt.Sprintf("%03d%02d", i%20, i%7), city)
+	}
+	vp := pfd.MustNew("T", []string{"zip"}, "city", pfd.Row{
+		LHS: []pfd.Cell{pfd.Pat(pattern.MustParse(`(\D{3})\D{2}`))},
+		RHS: pfd.Wildcard(),
+	})
+	covered, violations := vp.CountRow(tb, 0)
+	if covered != 2000 || violations != 154 {
+		t.Fatalf("fixture: covered %d, %d violations; want 2000, 154", covered, violations)
+	}
+	avg := testing.AllocsPerRun(20, func() { vp.CountRow(tb, 0) })
+	// Measured 70: two cell evaluations, the gather arena, the group
+	// scan's slot lists. Violations on the same rule measured 600.
+	const limit = 100
+	if avg > limit {
+		t.Fatalf("generalize's validation pass allocates %.1f per run, want <= %d", avg, limit)
 	}
 }

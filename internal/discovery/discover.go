@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 
 	"pfd/internal/index"
-	"pfd/internal/kernel"
 	"pfd/internal/lattice"
 	"pfd/internal/pattern"
 	"pfd/internal/pfd"
@@ -388,16 +387,13 @@ func (d *discoverer) tryCandidate(lhsIdx []int, rhsIdx int) *Dependency {
 	dep := &Dependency{LHS: lhs, RHS: rhs, PFD: constant, Coverage: coverage, Support: support}
 
 	// Lines 23-28: try to generalize the constant tableau to one variable
-	// row and validate it on the whole table. The coverage bitset is
-	// discoverer scratch, and the LHS match bitmap is evaluated once per
-	// dictionary entry rather than once per row.
+	// row and validate it on the whole table. The generalized rule's
+	// coverage is the LHS match count its validation pass produced.
 	if !d.params.DisableGeneralize {
-		if g := d.generalize(lhs, rhs, rows); g != nil {
+		if g, covered := d.generalize(lhs, rhs, rows); g != nil {
 			dep.PFD = g
 			dep.Variable = true
-			// The generalized rule's coverage is the popcount of its LHS
-			// match bitmap — no per-row loop, no bitset scratch.
-			dep.Support = kernel.PopcountSum(g.LHSMatchBitmap(t, 0))
+			dep.Support = covered
 			dep.Coverage = float64(dep.Support) / float64(t.NumRows())
 		}
 	}

@@ -1,7 +1,6 @@
 package discovery
 
 import (
-	"pfd/internal/kernel"
 	"pfd/internal/pattern"
 	"pfd/internal/pfd"
 	"pfd/internal/relation"
@@ -14,10 +13,10 @@ import (
 // tuples among the covered ones. On success the variable PFD replaces the
 // constant tableau ("report the general PFD λ instead of the constant
 // λ1..λ4"); on any failure generalize returns nil and the constant PFD
-// stands.
-func (d *discoverer) generalize(lhs []string, rhs string, rows []pfd.Row) *pfd.PFD {
+// stands. covered is the number of rows the variable row's LHS matches.
+func (d *discoverer) generalize(lhs []string, rhs string, rows []pfd.Row) (vp *pfd.PFD, covered int) {
 	if len(rows) < 2 {
-		return nil // one constant row carries no shape evidence
+		return nil, 0 // one constant row carries no shape evidence
 	}
 	gLHS := make([]pfd.Cell, len(lhs))
 	for i := range lhs {
@@ -27,27 +26,23 @@ func (d *discoverer) generalize(lhs []string, rhs string, rows []pfd.Row) *pfd.P
 		}
 		g := generalizeCells(cells)
 		if g == nil {
-			return nil
+			return nil, 0
 		}
 		gLHS[i] = *g
 	}
 	// The RHS becomes the unnamed variable: the generalized dependency
 	// asserts agreement, not a constant (ψ2/ψ4 in Figure 2).
-	vp := pfd.MustNew(d.t.Name, lhs, rhs, pfd.Row{LHS: gLHS, RHS: pfd.Wildcard()})
+	vp = pfd.MustNew(d.t.Name, lhs, rhs, pfd.Row{LHS: gLHS, RHS: pfd.Wildcard()})
 
 	// Validation on all records, including those below the support
-	// threshold (Example 8 applies the rule on r9 and r10). The LHS
-	// match is evaluated per dictionary entry, then counted with one
-	// popcount over the match bitmap.
-	covered := kernel.PopcountSum(vp.LHSMatchBitmap(d.t, 0))
-	if covered == 0 {
-		return nil
+	// threshold (Example 8 applies the rule on r9 and r10): one pass of
+	// the group check Violations runs, counting covered rows and
+	// violations without materializing any Violation.
+	covered, violations := vp.CountRow(d.t, 0)
+	if covered == 0 || violations > d.params.allowed(covered) {
+		return nil, 0
 	}
-	violations := vp.Violations(d.t)
-	if len(violations) > d.params.allowed(covered) {
-		return nil
-	}
-	return vp
+	return vp, covered
 }
 
 // generalizeCells finds the common variable form of one attribute's

@@ -296,20 +296,23 @@ func (p *Pattern) Clone() *Pattern {
 // region wrapped in parentheses, and meta-characters backslash-escaped.
 func (p *Pattern) String() string {
 	var b strings.Builder
+	p.Render(&b)
+	return b.String()
+}
+
+// Render writes String's rendering into b, so a caller composing a
+// larger rendering (a tableau cell, a λ-notation rule) builds it in one
+// buffer.
+func (p *Pattern) Render(b *strings.Builder) {
 	for i, t := range p.Tokens {
 		if i == p.ConStart {
 			b.WriteByte('(')
 		}
-		b.WriteString(t.String())
+		t.render(b)
 		if i+1 == p.ConEnd {
 			b.WriteByte(')')
 		}
 	}
-	if p.ConStart == p.ConEnd && p.Constrained() {
-		// Degenerate empty region; render nothing extra.
-		return b.String()
-	}
-	return b.String()
 }
 
 // Equal reports structural equality of two patterns (same tokens and same

@@ -1,7 +1,7 @@
 package pattern
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -65,40 +65,46 @@ func (t Token) LabelSubsumes(u Token) bool {
 // meta-characters of the textual pattern language.
 func (t Token) String() string {
 	var b strings.Builder
-	unit := t.Class.String()
-	if t.Class == Literal {
-		unit = escapeLit(t.Lit)
-	}
-	switch {
-	case t.Min == 1 && t.Max == 1:
-		b.WriteString(unit)
-	case t.Min == 0 && t.Max == Unbounded:
-		b.WriteString(unit)
-		b.WriteByte('*')
-	case t.Min == 1 && t.Max == Unbounded:
-		b.WriteString(unit)
-		b.WriteByte('+')
-	case t.Fixed():
-		fmt.Fprintf(&b, "%s{%d}", unit, t.Min)
-	case t.Max == Unbounded:
-		fmt.Fprintf(&b, "%s{%d,}", unit, t.Min)
-	default:
-		fmt.Fprintf(&b, "%s{%d,%d}", unit, t.Min, t.Max)
-	}
+	t.render(&b)
 	return b.String()
 }
 
-// escapeLit renders a literal rune, backslash-escaping the language's
+// render writes the token's rendering into b.
+func (t Token) render(b *strings.Builder) {
+	if t.Class == Literal {
+		writeLit(b, t.Lit)
+	} else {
+		b.WriteString(t.Class.String())
+	}
+	switch {
+	case t.Min == 1 && t.Max == 1:
+	case t.Min == 0 && t.Max == Unbounded:
+		b.WriteByte('*')
+	case t.Min == 1 && t.Max == Unbounded:
+		b.WriteByte('+')
+	default:
+		b.WriteByte('{')
+		b.WriteString(strconv.Itoa(t.Min))
+		if !t.Fixed() {
+			b.WriteByte(',')
+			if t.Max != Unbounded {
+				b.WriteString(strconv.Itoa(t.Max))
+			}
+		}
+		b.WriteByte('}')
+	}
+}
+
+// writeLit renders a literal rune, backslash-escaping the language's
 // meta-characters so that String() round-trips through Parse. Beyond
 // the pattern meta-runes it also escapes the tableau-grammar
 // delimiters (',', ';', '[', ']') so a rendered cell can be embedded
 // in a λ-notation rule line and split back apart unambiguously
 // (pfd.ParsePFD, inference.ParseRule).
-func escapeLit(r rune) string {
+func writeLit(b *strings.Builder, r rune) {
 	switch r {
 	case '\\', '(', ')', '{', '}', '+', '*', ' ', '_', ',', ';', '[', ']':
-		return `\` + string(r)
-	default:
-		return string(r)
+		b.WriteByte('\\')
 	}
+	b.WriteRune(r)
 }

@@ -15,11 +15,12 @@ func zipStatePFD() *PFD {
 	})
 }
 
-// TestViolationsMemoSurvivesMutation: the per-(cell, column) dictionary
-// memo must stay exact across in-place table mutation — Set only ever
-// appends to the dictionary, which invalidates the (ColID, length) key.
-// A memo-carrying PFD and a fresh PFD must agree after every mutation.
-func TestViolationsMemoSurvivesMutation(t *testing.T) {
+// TestViolationsFreshAfterMutation: a rule validated before in-place
+// table mutation must report exactly what a fresh rule reports after
+// every mutation — a Set that grows the dictionary, one that reverts to
+// an existing value, and one that retires values — so nothing a call
+// computed may leak into the next.
+func TestViolationsFreshAfterMutation(t *testing.T) {
 	tb := relation.New("Zip", "zip", "state")
 	for _, r := range [][2]string{
 		{"90012", "CA"}, {"90013", "CA"}, {"90014", "CA"},
@@ -27,35 +28,35 @@ func TestViolationsMemoSurvivesMutation(t *testing.T) {
 	} {
 		tb.Append(r[0], r[1])
 	}
-	warm := zipStatePFD()
-	if got := warm.Violations(tb); len(got) != 0 {
+	used := zipStatePFD()
+	if got := used.Violations(tb); len(got) != 0 {
 		t.Fatalf("clean table: %d violations", len(got))
 	}
 
 	// Mutation 1: introduce a brand-new value (dictionary grows).
 	tb.Set(1, "state", "AZ")
-	if got, want := warm.Violations(tb), zipStatePFD().Violations(tb); !reflect.DeepEqual(got, want) {
-		t.Fatalf("after new-value Set: memoized %+v, fresh %+v", got, want)
+	if got, want := used.Violations(tb), zipStatePFD().Violations(tb); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after new-value Set: reused rule %+v, fresh %+v", got, want)
 	}
 
 	// Mutation 2: rewrite with an existing value (dictionary length
-	// unchanged — codes move, memo stays valid by construction).
+	// unchanged — only codes move).
 	tb.Set(1, "state", "CA")
-	if got := warm.Violations(tb); len(got) != 0 {
+	if got := used.Violations(tb); len(got) != 0 {
 		t.Fatalf("after revert: %d violations", len(got))
 	}
 
 	// Mutation 3: retire a value completely and reintroduce another.
 	tb.Set(3, "state", "CA")
 	tb.Set(4, "state", "CA")
-	if got, want := warm.Violations(tb), zipStatePFD().Violations(tb); !reflect.DeepEqual(got, want) {
-		t.Fatalf("after retire: memoized %+v, fresh %+v", got, want)
+	if got, want := used.Violations(tb), zipStatePFD().Violations(tb); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after retire: reused rule %+v, fresh %+v", got, want)
 	}
 }
 
-// TestViolationsMemoAcrossTables: one PFD alternating between distinct
-// tables (fresh column ids) must recompute rather than reuse.
-func TestViolationsMemoAcrossTables(t *testing.T) {
+// TestViolationsAlternatingTables: one PFD alternating between two
+// tables must report each table's own violations every time.
+func TestViolationsAlternatingTables(t *testing.T) {
 	mk := func(state string) *relation.Table {
 		tb := relation.New("Zip", "zip", "state")
 		tb.Append("90012", "CA")

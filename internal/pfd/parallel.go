@@ -57,36 +57,14 @@ func runChunks(chunks int, fn func(chunk int)) {
 	wg.Wait()
 }
 
-// matchBitmapInto fills dst with the AND of every LHS cell's match
-// bitmap, chunk-parallel: each chunk owns an aligned word range of dst,
-// so workers never share a word and the result is position-determined.
-func matchBitmapInto(dst []uint64, evs []SpanEval, codes [][]uint32, nrows int) {
-	sids := make([][]int32, len(evs))
-	for j := range evs {
-		sids[j] = evs[j].Sid
-	}
-	andSidBitmaps(dst, sids, codes, nrows)
-}
-
-// AndSpanBitmaps is matchBitmapInto over an evaluation-pointer slice —
-// the multi-attribute LHS pre-filter exported for the multi-rule
-// planner, whose shared pool hands out *SpanEval. dst must hold
-// kernel.Words(nrows) words; it is filled with the AND of every
-// evaluation's match bitmap against its aligned code vector,
-// chunk-parallel on the fixed chunk partition, so the result is
-// identical at any worker count (and to what Violations computes for
-// the same cells).
-func AndSpanBitmaps(dst []uint64, evs []*SpanEval, codes [][]uint32, nrows int) {
-	sids := make([][]int32, len(evs))
-	for j := range evs {
-		sids[j] = evs[j].Sid
-	}
-	andSidBitmaps(dst, sids, codes, nrows)
-}
-
-func andSidBitmaps(dst []uint64, sids [][]int32, codes [][]uint32, nrows int) {
+// andSpanBitmaps fills dst (kernel.Words(nrows) words) with the AND of
+// every LHS evaluation's match bitmap against its aligned code vector,
+// chunk-parallel: each chunk owns an aligned word range of dst, so
+// workers never share a word and the result is position-determined —
+// identical at any worker count.
+func andSpanBitmaps(dst []uint64, evs []*SpanEval, codes [][]uint32, nrows int) {
 	nwords := kernel.Words(nrows)
-	if len(sids) == 0 {
+	if len(evs) == 0 {
 		// Degenerate empty LHS: every row matches vacuously.
 		for i := range dst[:nwords] {
 			dst[i] = ^uint64(0)
@@ -102,23 +80,21 @@ func andSidBitmaps(dst []uint64, sids [][]int32, codes [][]uint32, nrows int) {
 		hi := min(lo+chunkWords, nwords)
 		rl := lo * kernel.WordBits
 		rh := min(hi*kernel.WordBits, nrows)
-		kernel.MatchBitmapSigned(dst[lo:hi], codes[0][rl:rh], sids[0])
-		for j := 1; j < len(sids); j++ {
-			kernel.AndMatchBitmapSigned(dst[lo:hi], codes[j][rl:rh], sids[j])
+		kernel.MatchBitmapSigned(dst[lo:hi], codes[0][rl:rh], evs[0].Sid)
+		for j := 1; j < len(evs); j++ {
+			kernel.AndMatchBitmapSigned(dst[lo:hi], codes[j][rl:rh], evs[j].Sid)
 		}
 	})
 }
 
-// GatherSpanGroups partitions the rows of a single-attribute LHS by
+// gatherSpanGroups partitions the rows of a single-attribute LHS by
 // interned span id into gg: the counting-sort gather, going
 // chunk-parallel exactly when the serial path would be the bottleneck
 // (table at least two chunks, more than one scan worker). Both routes
-// produce bit-identical group layouts, so callers — Violations here,
-// and the multi-rule planner's executor, for which this is exported —
-// can treat the decision as invisible. counts must be the column's
-// live dictionary multiplicities (they size the gather arena); nrows
-// the table length.
-func GatherSpanGroups(gg *kernel.Groups, codes []uint32, ev *SpanEval, counts []int, nrows int) {
+// produce bit-identical group layouts, so Partition.Build can treat the
+// decision as invisible. counts must be the column's live dictionary
+// multiplicities (they size the gather arena); nrows the table length.
+func gatherSpanGroups(gg *kernel.Groups, codes []uint32, ev *SpanEval, counts []int, nrows int) {
 	if nrows >= 2*chunkRows && scanWorkers > 1 {
 		kernel.GatherGroupsCodesParallel(gg, codes, ev.Sid, chunkRows, runChunks)
 	} else {

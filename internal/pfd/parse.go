@@ -177,7 +177,7 @@ func parseRowSide(s string) (attrs []string, cells []Cell, err error) {
 	}
 	for _, item := range splitTopLevel(body, ',') {
 		// Cut at the first unescaped '=' — the attr/cell separator; an
-		// attribute name containing '=' arrives escaped (escapeName).
+		// attribute name containing '=' arrives escaped (writeName).
 		eq := indexUnescaped(item, '=')
 		if eq < 0 {
 			return nil, nil, fmt.Errorf("item %q: want attr = cell", strings.TrimSpace(item))
@@ -206,18 +206,13 @@ func unbracket(s string) (string, error) {
 	return s[1 : len(s)-1], nil
 }
 
-// escapeName renders a relation or attribute name for the λ-notation
-// grammar, backslash-escaping the delimiters a name could otherwise be
-// split on — including braces (splitTopLevel counts them as depth) and
-// whitespace (the parser trims unescaped padding around names). (Cells
-// escape their own delimiters in pattern rendering; this is the
-// counterpart for the names around them.)
-func escapeName(s string) string {
-	if !strings.ContainsAny(s, "\\()[]{},;= \t") {
-		return s
-	}
-	var b strings.Builder
-	b.Grow(len(s) + 2)
+// writeName writes a relation or attribute name for the λ-notation
+// grammar into b, backslash-escaping the delimiters a name could
+// otherwise be split on — including braces (splitTopLevel counts them
+// as depth) and whitespace (the parser trims unescaped padding around
+// names). (Cells escape their own delimiters in pattern rendering;
+// this is the counterpart for the names around them.)
+func writeName(b *strings.Builder, s string) {
 	// Byte-wise: the delimiters are ASCII and multi-byte UTF-8
 	// sequences contain no ASCII bytes, so this is encoding-safe and —
 	// unlike a rune loop — leaves invalid UTF-8 untouched.
@@ -228,10 +223,9 @@ func escapeName(s string) string {
 		}
 		b.WriteByte(s[i])
 	}
-	return b.String()
 }
 
-// unescapeName removes the backslash escapes escapeName added.
+// unescapeName removes the backslash escapes writeName added.
 func unescapeName(s string) string {
 	if !strings.Contains(s, `\`) {
 		return s

@@ -9,7 +9,6 @@ package pfd
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"pfd/internal/pattern"
 )
@@ -68,13 +67,21 @@ func (c Cell) Constant() (string, bool) {
 // the empty-constant pattern (matching exactly "") is written '()' so
 // it stays distinguishable from both (ParseCell inverts all three).
 func (c Cell) String() string {
-	if c.IsWildcard() {
-		return "_"
+	var b strings.Builder
+	c.render(&b)
+	return b.String()
+}
+
+// render writes String's rendering into b.
+func (c Cell) render(b *strings.Builder) {
+	switch {
+	case c.IsWildcard():
+		b.WriteByte('_')
+	case len(c.Pattern.Tokens) == 0:
+		b.WriteString("()")
+	default:
+		c.Pattern.Render(b)
 	}
-	if len(c.Pattern.Tokens) == 0 {
-		return "()"
-	}
-	return c.Pattern.String()
 }
 
 // Equal reports structural equality: both wildcards, or structurally
@@ -112,11 +119,6 @@ type PFD struct {
 	LHS      []string
 	RHS      string
 	Tableau  []Row
-
-	// memo caches each tableau cell's dictionary evaluation for the
-	// column it last ran against (see cellDict in satisfy.go). Safe for
-	// concurrent use; a zero PFD starts empty.
-	memo sync.Map
 }
 
 // New constructs a PFD after validating tableau arity.
@@ -162,23 +164,34 @@ func (p *PFD) String() string {
 		if i > 0 {
 			b.WriteString("; ")
 		}
-		b.WriteString(escapeName(p.Relation))
+		writeName(&b, p.Relation)
 		b.WriteString("([")
 		for j, a := range p.LHS {
 			if j > 0 {
 				b.WriteString(", ")
 			}
-			fmt.Fprintf(&b, "%s = %s", escapeName(a), row.LHS[j])
+			writeName(&b, a)
+			b.WriteString(" = ")
+			row.LHS[j].render(&b)
 		}
-		fmt.Fprintf(&b, "] -> [%s = %s])", escapeName(p.RHS), row.RHS)
+		b.WriteString("] -> [")
+		writeName(&b, p.RHS)
+		b.WriteString(" = ")
+		row.RHS.render(&b)
+		b.WriteString("])")
 	}
 	if len(p.Tableau) == 0 {
-		escaped := make([]string, len(p.LHS))
+		writeName(&b, p.Relation)
+		b.WriteString("([")
 		for i, a := range p.LHS {
-			escaped[i] = escapeName(a)
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			writeName(&b, a)
 		}
-		fmt.Fprintf(&b, "%s([%s] -> [%s], Tp=∅)",
-			escapeName(p.Relation), strings.Join(escaped, ","), escapeName(p.RHS))
+		b.WriteString("] -> [")
+		writeName(&b, p.RHS)
+		b.WriteString("], Tp=∅)")
 	}
 	return b.String()
 }

@@ -31,90 +31,39 @@ type Violation struct {
 }
 
 // SpanEval is one tableau cell evaluated over one column's dictionary:
-// per dictionary code, whether the value matches the cell, its
-// constrained span, and an interned span id (-1 on mismatch). Spans are
+// per dictionary code, an interned constrained-span id (-1 when the
+// cell rejects the value), and per span id the span itself. Spans are
 // interned so that grouping and consensus scanning below run on small
-// integers instead of hashing span strings per row. Computing the whole
-// structure once per (cell, column) turns every per-row pattern
-// invocation into a code lookup — the dictionary-encoded layout's
-// central win, since real columns have far fewer distinct values than
-// rows.
+// integers instead of hashing span strings per row; code's span is
+// Sids[Sid[code]]. Computing the whole structure once per (cell,
+// column) turns every per-row pattern invocation into a code lookup —
+// the dictionary-encoded layout's central win, since real columns have
+// far fewer distinct values than rows.
 //
 // It is exported as the evaluation currency of the multi-rule planner
 // (internal/plan): the planner dedupes identical tableau cells across
-// rules into a shared SpanEval pool and feeds the results back through
-// ScanGroup, so one evaluation serves many PFDs. The structure depends
-// only on (cell, dictionary contents); Sids assigns ids in first-code
-// order, which makes two evaluations of the same cell over the same
-// dictionary identical — the property the sharing relies on.
+// rules into one SpanEval each per execute and feeds the results back
+// through ScanGroup, so one evaluation serves many PFDs. The structure
+// depends only on (cell, dictionary contents); Sids assigns ids in
+// first-code order, which makes two evaluations of the same cell over
+// the same dictionary identical — the property the sharing relies on.
 type SpanEval struct {
-	Ok   []bool
-	Span []string
 	Sid  []int32  // code -> interned span id, -1 when the cell rejects it
 	Sids []string // span id -> span, in first-code order
 }
 
 // EvalCellSpans evaluates cell c over a column dictionary. Every entry
 // is evaluated — including retired ones (no longer held by any row) —
-// so the result depends only on the dictionary contents, which are
-// append-only; that is what makes (column identity, dictionary length)
-// a sound memoization key for the result.
-func EvalCellSpans(c Cell, dict []string) SpanEval {
-	ev := SpanEval{
-		Ok:   make([]bool, len(dict)),
-		Span: make([]string, len(dict)),
-		Sid:  make([]int32, len(dict)),
-	}
+// so the result depends only on the dictionary contents.
+func EvalCellSpans(c Cell, dict []string) *SpanEval {
+	ev := &SpanEval{Sid: make([]int32, len(dict))}
 	intern := make(map[string]int32, 16)
-	evalCellSpansInto(&ev, intern, c, dict, 0)
-	return ev
-}
-
-// ExtendCellSpans evaluates only the dictionary tail appended since
-// prev was computed, copying prev's prefix: dictionaries are
-// append-only, so prev (over dict[:len(prev.Sid)]) is an exact prefix
-// of the full evaluation, and span-id interning continues in first-code
-// order — the result is identical to EvalCellSpans(c, dict) at a cost
-// proportional to the new entries. prev is not mutated; the planner
-// uses this to refresh a shared evaluation pool after ingest grows a
-// dictionary without re-matching the whole column.
-func ExtendCellSpans(c Cell, prev SpanEval, dict []string) SpanEval {
-	n := len(prev.Sid)
-	ev := SpanEval{
-		Ok:   make([]bool, len(dict)),
-		Span: make([]string, len(dict)),
-		Sid:  make([]int32, len(dict)),
-		Sids: append(make([]string, 0, len(prev.Sids)), prev.Sids...),
-	}
-	copy(ev.Ok, prev.Ok)
-	copy(ev.Span, prev.Span)
-	copy(ev.Sid, prev.Sid)
-	intern := make(map[string]int32, len(ev.Sids)+16)
-	for sid, span := range ev.Sids {
-		intern[span] = int32(sid)
-	}
-	evalCellSpansInto(&ev, intern, c, dict, n)
-	return ev
-}
-
-// evalCellSpansInto fills ev for dict[from:], interning spans through
-// the given map — the shared core of EvalCellSpans and ExtendCellSpans.
-func evalCellSpansInto(ev *SpanEval, intern map[string]int32, c Cell, dict []string, from int) {
-	for code := from; code < len(dict); code++ {
-		v := dict[code]
-		var span string
-		var ok bool
-		if c.IsWildcard() {
-			span, ok = v, true
-		} else {
-			span, ok = c.Span(v)
-		}
+	for code, v := range dict {
+		span, ok := c.Span(v)
 		if !ok {
 			ev.Sid[code] = -1
 			continue
 		}
-		ev.Ok[code] = true
-		ev.Span[code] = span
 		sid, seen := intern[span]
 		if !seen {
 			sid = int32(len(ev.Sids))
@@ -123,69 +72,19 @@ func evalCellSpansInto(ev *SpanEval, intern map[string]int32, c Cell, dict []str
 		}
 		ev.Sid[code] = sid
 	}
-}
-
-// CellDictEval is the match/span slice of a SpanEval: one tableau cell
-// evaluated over one column's dictionary. Match[code] reports whether
-// dictionary entry code matches the cell; Span[code] holds its
-// constrained span when it does. It predates SpanEval and remains for
-// callers that need no interned span ids.
-type CellDictEval struct {
-	Match []bool
-	Span  []string
-}
-
-// EvalCellDict evaluates cell c over a column dictionary.
-func EvalCellDict(c Cell, dict []string) CellDictEval {
-	ev := EvalCellSpans(c, dict)
-	return CellDictEval{Match: ev.Ok, Span: ev.Span}
-}
-
-// memoKey addresses one tableau cell: tableau row and LHS position
-// (rhsPos for the RHS cell).
-type memoKey struct{ ri, j int }
-
-const rhsPos = -1
-
-// dictMemo is a cached evaluation together with the column version it
-// was computed against.
-type dictMemo struct {
-	colID uint64
-	n     int
-	ev    SpanEval
-}
-
-// cellDict returns cell (ri, j)'s evaluation over column ci of t,
-// memoized on the PFD. The cache key is the column's process-unique
-// identity plus its dictionary length: dictionaries are append-only, so
-// an equal (id, length) pair guarantees the cached evaluation is exact
-// — repeated validation of one rule artifact against one table (the
-// detect → repair rounds, the benchmark loops) pays the per-distinct
-// matching once. A mismatch recomputes and replaces the slot, so a PFD
-// alternating between tables stays correct and merely loses the reuse.
-func (p *PFD) cellDict(ri, j int, c Cell, t *relation.Table, ci int) SpanEval {
-	dict := t.Dict(ci)
-	key := memoKey{ri: ri, j: j}
-	if v, ok := p.memo.Load(key); ok {
-		if m := v.(*dictMemo); m.colID == t.ColID(ci) && m.n == len(dict) {
-			return m.ev
-		}
-	}
-	ev := EvalCellSpans(c, dict)
-	p.memo.Store(key, &dictMemo{colID: t.ColID(ci), n: len(dict), ev: ev})
 	return ev
 }
 
-// evalLHSDicts evaluates every LHS cell of tableau row ri over its
-// column's dictionary, returning the evaluations and code vectors
-// aligned with p.LHS.
-func (p *PFD) evalLHSDicts(t *relation.Table, ri int) ([]SpanEval, [][]uint32) {
+// evalLHS evaluates every LHS cell of tableau row ri over its column's
+// dictionary, returning the evaluations and code vectors aligned with
+// p.LHS.
+func (p *PFD) evalLHS(t *relation.Table, ri int) ([]*SpanEval, [][]uint32) {
 	row := p.Tableau[ri]
-	evs := make([]SpanEval, len(p.LHS))
+	evs := make([]*SpanEval, len(p.LHS))
 	codes := make([][]uint32, len(p.LHS))
 	for j, a := range p.LHS {
 		ci := t.MustCol(a)
-		evs[j] = p.cellDict(ri, j, row.LHS[j], t, ci)
+		evs[j] = EvalCellSpans(row.LHS[j], t.Dict(ci))
 		codes[j] = t.Codes(ci)
 	}
 	return evs, codes
@@ -210,9 +109,9 @@ func (p *PFD) MatchesLHS(t *relation.Table, ri, id int) bool {
 // Popcount it for coverage counts; combine it with index bitsets
 // directly — both share the 64-rows-per-word layout.
 func (p *PFD) LHSMatchBitmap(t *relation.Table, ri int) []uint64 {
-	evs, codes := p.evalLHSDicts(t, ri)
+	evs, codes := p.evalLHS(t, ri)
 	words := make([]uint64, kernel.Words(t.NumRows()))
-	matchBitmapInto(words, evs, codes, t.NumRows())
+	andSpanBitmaps(words, evs, codes, t.NumRows())
 	return words
 }
 
@@ -233,6 +132,122 @@ func (p *PFD) Satisfied(t *relation.Table) bool {
 	return len(p.Violations(t)) == 0
 }
 
+// Partition is the LHS-equivalence partition of the rows matching one
+// tableau row's LHS: groups of row ids, ascending within each group,
+// with the groups ordered by span key. Build is the one group driver
+// behind Violations, CountRow and the multi-rule planner's executor
+// (internal/plan), so they cannot drift apart. The zero value is ready
+// to use; reusing one across builds keeps the scratch off the
+// allocator.
+type Partition struct {
+	single   bool
+	gg       kernel.Groups
+	bm       []uint64
+	keyBuf   []byte
+	keys     []string
+	groupIdx map[string]int
+	groupIDs [][]int32
+	order    []int
+	covered  int
+}
+
+// Build partitions the rows of an nrows-row table that match every LHS
+// evaluation evs[j] over its code vector codes[j]; counts are the live
+// dictionary multiplicities of evs[0]'s column, read only for a
+// single-attribute LHS.
+//
+// A single-attribute LHS groups rows by interned span id with the
+// counting-sort gather — histogram in O(distinct) off the dictionary
+// multiplicities, one allocation-free scatter, chunk-parallel on large
+// tables. A wider LHS And-combines the per-attribute match bitmaps
+// (chunk-parallel) and builds the '\x00'-joined span key only for rows
+// that survive the bitmap; zero words skip 64 rows at a time. Groups
+// are sorted by span key and row ids ascend, so the partition is
+// identical at any worker or chunk count.
+func (pt *Partition) Build(evs []*SpanEval, codes [][]uint32, counts []int, nrows int) {
+	pt.order = pt.order[:0]
+	pt.covered = 0
+	pt.single = len(evs) == 1
+	if pt.single {
+		ev := evs[0]
+		gatherSpanGroups(&pt.gg, codes[0], ev, counts, nrows)
+		for i := 0; i < pt.gg.Len(); i++ {
+			pt.order = append(pt.order, i)
+			pt.covered += len(pt.gg.Rows(i))
+		}
+		sort.Slice(pt.order, func(i, j int) bool {
+			return ev.Sids[pt.gg.Sid(pt.order[i])] < ev.Sids[pt.gg.Sid(pt.order[j])]
+		})
+		return
+	}
+
+	if cap(pt.bm) < kernel.Words(nrows) {
+		pt.bm = make([]uint64, kernel.Words(nrows))
+	}
+	pt.bm = pt.bm[:kernel.Words(nrows)]
+	andSpanBitmaps(pt.bm, evs, codes, nrows)
+	if pt.groupIdx == nil {
+		pt.groupIdx = make(map[string]int)
+	}
+	clear(pt.groupIdx)
+	pt.keys = pt.keys[:0]
+	pt.groupIDs = pt.groupIDs[:0]
+	for wi, w := range pt.bm {
+		base := wi * kernel.WordBits
+		for w != 0 {
+			id := base + bits.TrailingZeros64(w)
+			w &= w - 1
+			pt.covered++
+			pt.keyBuf = pt.keyBuf[:0]
+			for j, ev := range evs {
+				pt.keyBuf = append(pt.keyBuf, ev.Sids[ev.Sid[codes[j][id]]]...)
+				pt.keyBuf = append(pt.keyBuf, '\x00') // unambiguous separator
+			}
+			gi, seen := pt.groupIdx[string(pt.keyBuf)]
+			if !seen {
+				gi = len(pt.groupIDs)
+				k := string(pt.keyBuf)
+				pt.groupIdx[k] = gi
+				pt.keys = append(pt.keys, k)
+				pt.groupIDs = append(pt.groupIDs, nil)
+			}
+			pt.groupIDs[gi] = append(pt.groupIDs[gi], int32(id))
+		}
+	}
+	for i := range pt.keys {
+		pt.order = append(pt.order, i)
+	}
+	sort.Slice(pt.order, func(i, j int) bool { return pt.keys[pt.order[i]] < pt.keys[pt.order[j]] })
+}
+
+// Len returns the number of groups.
+func (pt *Partition) Len() int { return len(pt.order) }
+
+// Rows returns group i's row ids, ascending. The slice aliases the
+// partition's scratch and is valid until the next Build.
+func (pt *Partition) Rows(i int) []int32 {
+	if pt.single {
+		return pt.gg.Rows(pt.order[i])
+	}
+	return pt.groupIDs[pt.order[i]]
+}
+
+// Covered returns the number of rows in the partition: the rows that
+// match every LHS cell.
+func (pt *Partition) Covered() int { return pt.covered }
+
+// partitionRow evaluates tableau row ri over t's dictionaries, builds
+// its LHS partition into pt, and returns the RHS cell's evaluation.
+func (p *PFD) partitionRow(pt *Partition, t *relation.Table, ri, rhsCol int) *SpanEval {
+	evs, codes := p.evalLHS(t, ri)
+	var counts []int
+	if len(p.LHS) == 1 {
+		counts = t.DictCounts(t.MustCol(p.LHS[0]))
+	}
+	pt.Build(evs, codes, counts, t.NumRows())
+	return EvalCellSpans(p.Tableau[ri].RHS, t.Dict(rhsCol))
+}
+
 // Violations enumerates all violations of the PFD on t.
 //
 // The check runs in O(|T|) per tableau row by grouping tuples on their
@@ -243,101 +258,45 @@ func (p *PFD) Satisfied(t *relation.Table) bool {
 // yields one Violation whose ErrorCell is its RHS cell.
 //
 // Pattern matching runs once per (tableau cell, distinct column value):
-// every cell is evaluated over its column's dictionary up front
-// (memoized across calls — see cellDict), and the per-row pass runs on
-// the internal/kernel scan primitives. Single-attribute LHS rows group
-// by interned span id with the counting-sort gather — histogram in
-// O(distinct) off the dictionary multiplicities, one allocation-free
-// scatter, chunk-parallel on large tables; wider LHS rows And-combine
-// per-attribute match bitmaps (chunk-parallel) and build the
-// concatenated span key only for rows that survive the bitmap. Group
-// emission order is sorted by span key and row ids are ascending, so
-// the output is byte-identical at any worker or chunk count.
+// every cell is evaluated over its column's dictionary up front, for
+// this call only, and the rows are grouped by Partition.Build on the
+// internal/kernel scan primitives. Group emission order is sorted by
+// span key and row ids are ascending, so the output is byte-identical
+// at any worker or chunk count.
 //
-// internal/plan replays exactly this scan through the shared
-// primitives below (GatherSpanGroups, AndSpanBitmaps, ScanGroup) with
-// cell evaluations pooled across rules; its per-rule output is pinned
-// byte-identical to this method by the differential suite. A semantic
-// change here must change the planner's executor in lockstep.
+// internal/plan drives the same Partition and group check (ScanGroup)
+// with cell evaluations pooled across rules; its per-rule output is
+// pinned byte-identical to this method by the differential suite.
 func (p *PFD) Violations(t *relation.Table) []Violation {
 	var out []Violation
-	var keyBuf []byte
-	groupIdx := map[string]int{}
-	var keys []string
-	var groupIDs [][]int32
-	var gg kernel.Groups
-	var bm []uint64
-	var order []int
+	var pt Partition
 	var scan GroupScan
-	nrows := t.NumRows()
 	rhsCol := t.MustCol(p.RHS)
 	rhsCodes := t.Codes(rhsCol)
 	for ri, row := range p.Tableau {
+		rhsEv := p.partitionRow(&pt, t, ri, rhsCol)
 		constant := row.ConstantLHS()
-		lhsEvs, lhsCodes := p.evalLHSDicts(t, ri)
-		rhsEv := p.cellDict(ri, rhsPos, row.RHS, t, rhsCol)
-
-		if len(p.LHS) == 1 {
-			// Span-id grouping: the group of a row is its LHS span id.
-			ev := &lhsEvs[0]
-			GatherSpanGroups(&gg, lhsCodes[0], ev, t.DictCounts(t.MustCol(p.LHS[0])), nrows)
-			order = order[:0]
-			for i := 0; i < gg.Len(); i++ {
-				order = append(order, i)
-			}
-			sort.Slice(order, func(i, j int) bool {
-				return ev.Sids[gg.Sid(order[i])] < ev.Sids[gg.Sid(order[j])]
-			})
-			for _, gi := range order {
-				out = append(out, p.groupViolations(&scan, ri, row, gg.Rows(gi), constant, rhsCodes, &rhsEv)...)
-			}
-			continue
-		}
-
-		// Joint key: '\x00'-joined spans, interned once per group. The
-		// bitmap pre-filter means key assembly only runs for rows whose
-		// every attribute matched; zero words skip 64 rows at a time.
-		if cap(bm) < kernel.Words(nrows) {
-			bm = make([]uint64, kernel.Words(nrows))
-		}
-		bm = bm[:kernel.Words(nrows)]
-		matchBitmapInto(bm, lhsEvs, lhsCodes, nrows)
-		keys = keys[:0]
-		groupIDs = groupIDs[:0]
-		clear(groupIdx)
-		for wi, w := range bm {
-			base := wi * kernel.WordBits
-			for w != 0 {
-				id := base + bits.TrailingZeros64(w)
-				w &= w - 1
-				keyBuf = keyBuf[:0]
-				for j := range lhsEvs {
-					code := lhsCodes[j][id]
-					keyBuf = append(keyBuf, lhsEvs[j].Span[code]...)
-					keyBuf = append(keyBuf, '\x00') // unambiguous separator
-				}
-				gi, seen := groupIdx[string(keyBuf)]
-				if !seen {
-					gi = len(groupIDs)
-					k := string(keyBuf)
-					groupIdx[k] = gi
-					keys = append(keys, k)
-					groupIDs = append(groupIDs, nil)
-				}
-				groupIDs[gi] = append(groupIDs[gi], int32(id))
-			}
-		}
-
-		order = order[:0]
-		for i := range keys {
-			order = append(order, i)
-		}
-		sort.Slice(order, func(i, j int) bool { return keys[order[i]] < keys[order[j]] })
-		for _, gi := range order {
-			out = append(out, p.groupViolations(&scan, ri, row, groupIDs[gi], constant, rhsCodes, &rhsEv)...)
+		for gi := 0; gi < pt.Len(); gi++ {
+			out = append(out, p.groupViolations(&scan, ri, row, pt.Rows(gi), constant, rhsCodes, rhsEv)...)
 		}
 	}
 	return out
+}
+
+// CountRow returns how many rows of t match tableau row ri's LHS and
+// how many violations that row yields — the length of ri's block in
+// Violations — from one partition pass that materializes no Violation.
+func (p *PFD) CountRow(t *relation.Table, ri int) (covered, violations int) {
+	var pt Partition
+	var scan GroupScan
+	rhsCol := t.MustCol(p.RHS)
+	rhsCodes := t.Codes(rhsCol)
+	rhsEv := p.partitionRow(&pt, t, ri, rhsCol)
+	constant := p.Tableau[ri].ConstantLHS()
+	for gi := 0; gi < pt.Len(); gi++ {
+		violations += scan.check(pt.Rows(gi), constant, rhsCodes, rhsEv)
+	}
+	return pt.Covered(), violations
 }
 
 // GroupScan is the reusable state for checking one LHS-equivalence
@@ -355,6 +314,7 @@ type GroupScan struct {
 	spanIDs     [][]int32
 	nonMatching []int32
 	order       []int
+	major       int // slot of the strict-majority span, -1 when none
 }
 
 // reset prepares the scan for a new group over numSids possible span
@@ -410,10 +370,12 @@ func (p *PFD) ScanGroup(sc *GroupScan, ri int, ids []int32, constant bool, rhsCo
 	return p.groupViolations(sc, ri, p.Tableau[ri], ids, constant, rhsCodes, rhsEv)
 }
 
-// groupViolations checks one LHS-equivalence group. The RHS cell's
-// verdict per tuple comes from the precomputed dictionary evaluation.
-func (p *PFD) groupViolations(sc *GroupScan, ri int, row Row, ids []int32, constant bool, rhsCodes []uint32, rhsEv *SpanEval) []Violation {
-	var out []Violation
+// check is the group check: it files the group's rows by RHS span id
+// (the per-tuple RHS verdict comes from the precomputed dictionary
+// evaluation), finds the strict-majority span, and returns how many
+// violations the group yields. groupViolations materializes exactly
+// that many from the state check leaves in sc; CountRow stops here.
+func (sc *GroupScan) check(ids []int32, constant bool, rhsCodes []uint32, rhsEv *SpanEval) int {
 	sc.reset(len(rhsEv.Sids))
 	for _, id := range ids {
 		sid := rhsEv.Sid[rhsCodes[id]]
@@ -423,9 +385,35 @@ func (p *PFD) groupViolations(sc *GroupScan, ri int, row Row, ids []int32, const
 		}
 		sc.addSpan(sid, rhsEv.Sids[sid], id)
 	}
-
+	n := 0
 	// Constant-LHS rows fire on single tuples: a non-matching RHS is a
 	// violation even with no second tuple (Example 6, "r4 violates ψ1").
+	// Variable rows need a matching partner to witness the breach.
+	if constant || len(ids) >= 2 {
+		n = len(sc.nonMatching)
+	}
+	sc.major = -1
+	if len(sc.spanKeys) > 1 {
+		// Conflicting spans within one equivalence group: every tuple
+		// outside the strict-majority span (all of them in a tie)
+		// violates.
+		n += len(ids) - len(sc.nonMatching)
+		sc.major = sc.strictMajority()
+		if sc.major >= 0 {
+			n -= len(sc.spanIDs[sc.major])
+		}
+	}
+	return n
+}
+
+// groupViolations checks one LHS-equivalence group and materializes
+// its violations.
+func (p *PFD) groupViolations(sc *GroupScan, ri int, row Row, ids []int32, constant bool, rhsCodes []uint32, rhsEv *SpanEval) []Violation {
+	n := sc.check(ids, constant, rhsCodes, rhsEv)
+	if n == 0 {
+		return nil
+	}
+	out := make([]Violation, 0, n)
 	if constant {
 		for _, id := range sc.nonMatching {
 			out = append(out, Violation{
@@ -437,12 +425,8 @@ func (p *PFD) groupViolations(sc *GroupScan, ri int, row Row, ids []int32, const
 				WitnessRow:   -1,
 			})
 		}
-	} else {
-		// Variable rows need a matching partner to witness the breach.
+	} else if len(ids) >= 2 {
 		for _, id := range sc.nonMatching {
-			if len(ids) < 2 {
-				continue
-			}
 			w := witnessOther(ids, id)
 			out = append(out, Violation{
 				TableauRow: ri,
@@ -456,18 +440,19 @@ func (p *PFD) groupViolations(sc *GroupScan, ri int, row Row, ids []int32, const
 	if len(sc.spanKeys) <= 1 {
 		return out
 	}
-	// Conflicting spans within one equivalence group: every pair across
-	// different spans violates. Report the minority tuples against the
-	// strict-majority consensus when one exists (tie groups are reported
-	// but carry no repair).
-	consensus, consensusIDs, ok := sc.strictMajority()
+	// Report the minority tuples against the strict-majority consensus
+	// when one exists (tie groups are reported but carry no repair).
+	var consensus string
+	var consensusIDs []int32
+	if sc.major >= 0 {
+		consensus, consensusIDs = sc.spanKeys[sc.major], sc.spanIDs[sc.major]
+	}
 	for i := range sc.spanKeys {
 		sc.order = append(sc.order, i)
 	}
 	sort.Slice(sc.order, func(i, j int) bool { return sc.spanKeys[sc.order[i]] < sc.spanKeys[sc.order[j]] })
 	for _, si := range sc.order {
-		s := sc.spanKeys[si]
-		if ok && s == consensus {
+		if si == sc.major {
 			continue
 		}
 		for _, id := range sc.spanIDs[si] {
@@ -475,10 +460,10 @@ func (p *PFD) groupViolations(sc *GroupScan, ri int, row Row, ids []int32, const
 				TableauRow:   ri,
 				ErrorCell:    relation.Cell{Row: int(id), Col: p.RHS},
 				Expected:     consensus,
-				HasConsensus: ok,
+				HasConsensus: sc.major >= 0,
 				WitnessRow:   -1,
 			}
-			if ok {
+			if sc.major >= 0 {
 				v.WitnessRow = int(consensusIDs[0])
 				v.Cells = append(p.tupleCells(int(id)), p.tupleCells(v.WitnessRow)...)
 			} else {
@@ -509,18 +494,19 @@ func (p *PFD) tupleCells(id int) []relation.Cell {
 	return out
 }
 
-// strictMajority returns the span held by more than half the group.
-func (sc *GroupScan) strictMajority() (string, []int32, bool) {
+// strictMajority returns the slot of the span held by more than half
+// the group's matching tuples, or -1 when no span is.
+func (sc *GroupScan) strictMajority() int {
 	total := 0
 	for _, ids := range sc.spanIDs {
 		total += len(ids)
 	}
 	for si, ids := range sc.spanIDs {
 		if 2*len(ids) > total {
-			return sc.spanKeys[si], ids, true
+			return si
 		}
 	}
-	return "", nil, false
+	return -1
 }
 
 func witnessOther(ids []int32, not int32) int {

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"pfd/internal/kernel"
 	"pfd/internal/pattern"
 	"pfd/internal/relation"
 )
@@ -28,13 +29,13 @@ func violationsScalar(p *PFD, t *relation.Table) []Violation {
 	rhsCodes := t.Codes(rhsCol)
 	for ri, row := range p.Tableau {
 		constant := row.ConstantLHS()
-		lhsEvs, lhsCodes := p.evalLHSDicts(t, ri)
-		rhsEv := p.cellDict(ri, rhsPos, row.RHS, t, rhsCol)
+		lhsEvs, lhsCodes := p.evalLHS(t, ri)
+		rhsEv := EvalCellSpans(row.RHS, t.Dict(rhsCol))
 		keys = keys[:0]
 		groupIDs = groupIDs[:0]
 
 		if len(p.LHS) == 1 {
-			ev, codes0 := &lhsEvs[0], lhsCodes[0]
+			ev, codes0 := lhsEvs[0], lhsCodes[0]
 			groupOf := make([]int32, len(ev.Sids))
 			for i := range groupOf {
 				groupOf[i] = -1
@@ -64,7 +65,7 @@ func violationsScalar(p *PFD, t *relation.Table) []Violation {
 					if sid < 0 {
 						continue rows
 					}
-					keyBuf = append(keyBuf, lhsEvs[j].Span[code]...)
+					keyBuf = append(keyBuf, lhsEvs[j].Sids[sid]...)
 					keyBuf = append(keyBuf, '\x00')
 				}
 				gi, seen := groupIdx[string(keyBuf)]
@@ -85,7 +86,7 @@ func violationsScalar(p *PFD, t *relation.Table) []Violation {
 		}
 		sort.Slice(order, func(i, j int) bool { return keys[order[i]] < keys[order[j]] })
 		for _, gi := range order {
-			out = append(out, p.groupViolations(&scan, ri, row, groupIDs[gi], constant, rhsCodes, &rhsEv)...)
+			out = append(out, p.groupViolations(&scan, ri, row, groupIDs[gi], constant, rhsCodes, rhsEv)...)
 		}
 	}
 	return out
@@ -195,6 +196,31 @@ func TestLHSMatchRowsMatchesScalar(t *testing.T) {
 			if got[id] != p.MatchesLHS(tb, 0, id) {
 				t.Fatalf("trial %d row %d: bitmap=%v scalar=%v (pfd=%s)",
 					trial, id, got[id], !got[id], p)
+			}
+		}
+	}
+}
+
+// TestCountRowMatchesViolations pins CountRow, the count-only pass
+// discovery's generalize step validates with, to the full scan: its
+// coverage is the LHS match bitmap's popcount and its violation count
+// the length of the tableau row's block in Violations.
+func TestCountRowMatchesViolations(t *testing.T) {
+	r := rand.New(rand.NewSource(44))
+	for trial := 0; trial < 300; trial++ {
+		p, tb := randomWidePFDTable(r, r.Intn(130))
+		perRow := make([]int, len(p.Tableau))
+		for _, v := range p.Violations(tb) {
+			perRow[v.TableauRow]++
+		}
+		for ri := range p.Tableau {
+			covered, violations := p.CountRow(tb, ri)
+			if want := kernel.PopcountSum(p.LHSMatchBitmap(tb, ri)); covered != want {
+				t.Fatalf("trial %d row %d: covered %d, bitmap popcount %d (pfd=%s)", trial, ri, covered, want, p)
+			}
+			if violations != perRow[ri] {
+				t.Fatalf("trial %d row %d: counted %d violations, Violations has %d (pfd=%s)",
+					trial, ri, violations, perRow[ri], p)
 			}
 		}
 	}

@@ -9,8 +9,7 @@ const maxGroupDetail = 64
 
 // Description is the explainable view of a plan — what the
 // GET /v1/tenants/{t}/plan debug endpoint and `pfd detect -plan`
-// render. It is derived entirely from the immutable plan structure
-// plus execution counters.
+// render. It is derived entirely from the immutable plan structure.
 type Description struct {
 	Rules         int `json:"rules"`
 	TableauRows   int `json:"tableau_rows"`
@@ -20,13 +19,6 @@ type Description struct {
 	// the rows where the planner's factoring actually collapses work.
 	SharedGroups int     `json:"shared_groups"`
 	BuildMicros  float64 `json:"build_micros"`
-
-	// Execution counters, cumulative over the plan's lifetime.
-	Executes       int64 `json:"executes"`
-	ShortCircuited int64 `json:"short_circuited"`
-	EvalBuilds     int64 `json:"eval_builds"`
-	EvalExtends    int64 `json:"eval_extends"`
-	EvalReuses     int64 `json:"eval_reuses"`
 
 	GroupDetail     []GroupInfo `json:"group_detail,omitempty"`
 	TruncatedGroups int         `json:"truncated_groups,omitempty"`
@@ -43,16 +35,11 @@ type GroupInfo struct {
 // Describe summarizes the plan.
 func (p *Plan) Describe() Description {
 	d := Description{
-		Rules:          len(p.pfds),
-		TableauRows:    p.tableauRows,
-		DistinctCells:  len(p.cells),
-		Groups:         len(p.groups),
-		BuildMicros:    float64(p.buildTime.Nanoseconds()) / 1e3,
-		Executes:       p.executes.Load(),
-		ShortCircuited: p.shortCircuited.Load(),
-		EvalBuilds:     p.evalBuilds.Load(),
-		EvalExtends:    p.evalExtends.Load(),
-		EvalReuses:     p.evalReuses.Load(),
+		Rules:         len(p.pfds),
+		TableauRows:   p.tableauRows,
+		DistinctCells: len(p.cells),
+		Groups:        len(p.groups),
+		BuildMicros:   float64(p.buildTime.Nanoseconds()) / 1e3,
 	}
 	order := make([]int, len(p.groups))
 	for i := range order {

@@ -13,17 +13,19 @@
 //
 //   - identical (column, cell) pairs across all rules are canonicalized
 //     (by the cell's tableau rendering, which round-trips) and interned
-//     into one shared evaluation pool — one pattern pass per distinct
-//     pair, keyed by (column identity, dictionary length) like the
-//     per-PFD memo, and extended incrementally when the append-only
-//     dictionary grows;
+//     into one evaluation pool — one pattern pass per distinct pair per
+//     execute;
 //   - tableau rows with the same ordered LHS (attribute, cell) list
-//     form one group: its row partition (the gather or bitmap pass, the
-//     deterministic sort) is built once and fanned out to every member
-//     rule through pfd.ScanGroup;
+//     form one group: its row partition (pfd.Partition, the driver
+//     (*pfd.PFD).Violations uses) is built once and fanned out to every
+//     member rule through pfd.ScanGroup;
 //   - groups whose LHS provably matches zero live rows — a constant
 //     cell absent from the dictionary, or any cell whose matched
 //     dictionary weight is zero — are skipped before any rows pass.
+//
+// A Plan holds no table state: every execute evaluates the cells it
+// needs and drops them when it returns, so compiling a plan per call is
+// the intended use.
 //
 // Planning is greedy and statistics-free in the janus-datalog sense:
 // everything it orders or skips by derives from the dictionaries the
@@ -42,7 +44,6 @@ package plan
 
 import (
 	"context"
-	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
@@ -88,36 +89,15 @@ type group struct {
 	members []member
 }
 
-// evalSlot caches one cell's dictionary evaluation with the column
-// version it was computed against. colID plus dictionary length
-// versions it exactly: dictionaries are append-only, so an equal pair
-// guarantees the evaluation is current, and a longer dictionary under
-// the same id extends the old evaluation instead of recomputing it.
-type evalSlot struct {
-	colID uint64
-	n     int
-	ev    *pfd.SpanEval
-}
-
-// Plan is the compiled shared-evaluation plan for one ruleset. The
-// structure (cell pool, groups) is immutable after New; the evaluation
-// cache binds lazily to whatever table Violations runs against and
-// refreshes under a mutex, so one Plan serves concurrent executes.
+// Plan is the compiled shared-evaluation plan for one ruleset. It is
+// immutable after New and carries no table state, so one Plan serves
+// concurrent executes.
 type Plan struct {
 	pfds        []*pfd.PFD
 	cells       []cellEntry
 	groups      []group
 	tableauRows int
 	buildTime   time.Duration
-
-	mu    sync.Mutex
-	evals []evalSlot
-
-	shortCircuited atomic.Int64
-	evalBuilds     atomic.Int64
-	evalExtends    atomic.Int64
-	evalReuses     atomic.Int64
-	executes       atomic.Int64
 }
 
 // cellPtrKey is the fast cell-interning key: a cell's pattern pointer
@@ -229,7 +209,6 @@ func New(pfds []*pfd.PFD) *Plan {
 			}
 		}
 	}
-	p.evals = make([]evalSlot, len(p.cells))
 	p.buildTime = time.Since(start)
 	return p
 }
@@ -248,8 +227,16 @@ func appendUvarint(b []byte, v uint64) []byte {
 // slice per rule, aligned with the ruleset passed to New and
 // byte-identical to calling (*pfd.PFD).Violations per rule.
 func (p *Plan) Violations(t *relation.Table) [][]pfd.Violation {
-	out, _ := p.ViolationsContext(context.Background(), t)
+	out, _, _ := p.Run(context.Background(), t)
 	return out
+}
+
+// ViolationsContext is Violations with cancellation observed between
+// groups: on cancellation the partial output is discarded and the
+// context error returned.
+func (p *Plan) ViolationsContext(ctx context.Context, t *relation.Table) ([][]pfd.Violation, error) {
+	out, _, err := p.Run(ctx, t)
+	return out, err
 }
 
 // colState is one table column resolved for this execute.
@@ -257,7 +244,6 @@ type colState struct {
 	dict   []string
 	codes  []uint32
 	counts []int
-	id     uint64
 }
 
 // liveGroup is a group that survived short-circuiting, with its
@@ -267,11 +253,9 @@ type liveGroup struct {
 	weight int // min matched weight over LHS cells: an upper bound on group rows
 }
 
-// ViolationsContext is Violations with cancellation observed between
-// groups: on cancellation the partial output is discarded and the
-// context error returned.
-func (p *Plan) ViolationsContext(ctx context.Context, t *relation.Table) ([][]pfd.Violation, error) {
-	p.executes.Add(1)
+// Run is ViolationsContext that also reports skipped, the number of
+// LHS groups this execute short-circuited as matching no live row.
+func (p *Plan) Run(ctx context.Context, t *relation.Table) (out [][]pfd.Violation, skipped int, err error) {
 	nrows := t.NumRows()
 
 	// Resolve every referenced column once (MustCol panics on a missing
@@ -282,7 +266,7 @@ func (p *Plan) ViolationsContext(ctx context.Context, t *relation.Table) ([][]pf
 			return cs
 		}
 		ci := t.MustCol(name)
-		cs := &colState{dict: t.Dict(ci), codes: t.Codes(ci), counts: t.DictCounts(ci), id: t.ColID(ci)}
+		cs := &colState{dict: t.Dict(ci), codes: t.Codes(ci), counts: t.DictCounts(ci)}
 		cols[name] = cs
 		return cs
 	}
@@ -323,7 +307,7 @@ groups:
 		g := &p.groups[gi]
 		for _, ci := range g.lhs {
 			if p.cells[ci].isConst && constWeight(ci) == 0 {
-				p.shortCircuited.Add(1)
+				skipped++
 				continue groups
 			}
 		}
@@ -336,35 +320,14 @@ groups:
 		}
 	}
 
-	// Bind: get-or-refresh the shared evaluations for every cell the
-	// surviving groups touch. Cached evaluations are reused when the
-	// (column id, dictionary length) version matches, extended over the
-	// appended tail when only the length grew (ExtendCellSpans returns a
-	// fresh value, so executes already holding the old pointer are
-	// undisturbed), and rebuilt otherwise.
+	// Bind: evaluate every cell the surviving groups touch, once, for
+	// this execute only.
 	evs := make([]*pfd.SpanEval, len(p.cells))
-	p.mu.Lock()
 	for ci := range p.cells {
-		if !needed[ci] {
-			continue
+		if needed[ci] {
+			evs[ci] = pfd.EvalCellSpans(p.cells[ci].cell, cols[p.cells[ci].col].dict)
 		}
-		cs := cols[p.cells[ci].col]
-		slot := &p.evals[ci]
-		switch {
-		case slot.ev != nil && slot.colID == cs.id && slot.n == len(cs.dict):
-			p.evalReuses.Add(1)
-		case slot.ev != nil && slot.colID == cs.id && slot.n < len(cs.dict):
-			ev := pfd.ExtendCellSpans(p.cells[ci].cell, *slot.ev, cs.dict)
-			*slot = evalSlot{colID: cs.id, n: len(cs.dict), ev: &ev}
-			p.evalExtends.Add(1)
-		default:
-			ev := pfd.EvalCellSpans(p.cells[ci].cell, cs.dict)
-			*slot = evalSlot{colID: cs.id, n: len(cs.dict), ev: &ev}
-			p.evalBuilds.Add(1)
-		}
-		evs[ci] = slot.ev
 	}
-	p.mu.Unlock()
 
 	// Short-circuit pass 2 + ordering — dictionary-derived selectivity:
 	// a group's weight is the minimum matched live weight over its LHS
@@ -383,7 +346,7 @@ groups:
 			}
 		}
 		if w == 0 && len(g.lhs) > 0 {
-			p.shortCircuited.Add(1)
+			skipped++
 			continue
 		}
 		lg.weight = w
@@ -416,7 +379,7 @@ groups:
 		w := &execScratch{}
 		for _, lg := range live {
 			if ctx.Err() != nil {
-				return nil, ctx.Err()
+				return nil, skipped, ctx.Err()
 			}
 			runOne(w, lg)
 		}
@@ -438,14 +401,14 @@ groups:
 		}
 		wg.Wait()
 		if ctx.Err() != nil {
-			return nil, ctx.Err()
+			return nil, skipped, ctx.Err()
 		}
 	}
 
 	// Fan back out: a rule's violations are its tableau-row blocks
 	// concatenated in row order — exactly the append order of the
 	// independent scan, and nil (not empty) when every block is nil.
-	out := make([][]pfd.Violation, len(p.pfds))
+	out = make([][]pfd.Violation, len(p.pfds))
 	for rule := range p.pfds {
 		var vs []pfd.Violation
 		for _, b := range blocks[rule] {
@@ -453,20 +416,14 @@ groups:
 		}
 		out[rule] = vs
 	}
-	return out, nil
+	return out, skipped, nil
 }
 
 // execScratch is one worker's reusable scan state.
 type execScratch struct {
-	gg       kernel.Groups
-	scan     pfd.GroupScan
-	bm       []uint64
-	keyBuf   []byte
-	keys     []string
-	groupIdx map[string]int
-	groupIDs [][]int32
-	order    []int
-	dedup    map[memberKey][]pfd.Violation
+	part  pfd.Partition
+	scan  pfd.GroupScan
+	dedup map[memberKey][]pfd.Violation
 }
 
 // memberKey identifies a member's output within one group. The group
@@ -482,104 +439,40 @@ type memberKey struct {
 	rhs int
 }
 
-// runGroup builds the group's row partition once and scans it for
-// every member tableau row. The partition and its sort replicate the
-// independent path exactly: single-attribute groups gather by span id
-// and sort by span string; wider groups And-combine match bitmaps and
-// sort by the '\x00'-joined span key. Each member then walks the same
-// sorted partition through pfd.ScanGroup with its own RHS evaluation.
+// runGroup builds the group's row partition once, through the same
+// pfd.Partition driver independent evaluation uses, and scans it for
+// every member tableau row with the member's own RHS evaluation.
 func (p *Plan) runGroup(w *execScratch, g *group, evs []*pfd.SpanEval, cols map[string]*colState, nrows int, blocks [][][]pfd.Violation) {
+	lhsEvs := make([]*pfd.SpanEval, len(g.lhs))
+	lhsCodes := make([][]uint32, len(g.lhs))
+	var counts []int
+	for j, ci := range g.lhs {
+		cs := cols[p.cells[ci].col]
+		lhsEvs[j], lhsCodes[j] = evs[ci], cs.codes
+		if j == 0 {
+			counts = cs.counts
+		}
+	}
+	w.part.Build(lhsEvs, lhsCodes, counts, nrows)
+
 	if w.dedup == nil {
 		w.dedup = make(map[memberKey][]pfd.Violation)
 	}
 	clear(w.dedup)
-	scanMember := func(m member, groupsOf func(yield func(ids []int32))) {
+	for _, m := range g.members {
 		mk := memberKey{ri: m.ri, rhs: m.rhs}
 		if block, ok := w.dedup[mk]; ok {
 			blocks[m.rule][m.ri] = block
-			return
+			continue
 		}
 		pf := p.pfds[m.rule]
 		rhsEv := evs[m.rhs]
 		rhsCodes := cols[p.cells[m.rhs].col].codes
 		var block []pfd.Violation
-		groupsOf(func(ids []int32) {
-			block = append(block, pf.ScanGroup(&w.scan, m.ri, ids, m.constant, rhsCodes, rhsEv)...)
-		})
+		for i := 0; i < w.part.Len(); i++ {
+			block = append(block, pf.ScanGroup(&w.scan, m.ri, w.part.Rows(i), m.constant, rhsCodes, rhsEv)...)
+		}
 		w.dedup[mk] = block
 		blocks[m.rule][m.ri] = block
-	}
-
-	if len(g.lhs) == 1 {
-		ev := evs[g.lhs[0]]
-		cs := cols[p.cells[g.lhs[0]].col]
-		pfd.GatherSpanGroups(&w.gg, cs.codes, ev, cs.counts, nrows)
-		w.order = w.order[:0]
-		for i := 0; i < w.gg.Len(); i++ {
-			w.order = append(w.order, i)
-		}
-		sort.Slice(w.order, func(i, j int) bool {
-			return ev.Sids[w.gg.Sid(w.order[i])] < ev.Sids[w.gg.Sid(w.order[j])]
-		})
-		for _, m := range g.members {
-			scanMember(m, func(yield func(ids []int32)) {
-				for _, gi := range w.order {
-					yield(w.gg.Rows(gi))
-				}
-			})
-		}
-		return
-	}
-
-	lhsEvs := make([]*pfd.SpanEval, len(g.lhs))
-	lhsCodes := make([][]uint32, len(g.lhs))
-	for j, ci := range g.lhs {
-		lhsEvs[j] = evs[ci]
-		lhsCodes[j] = cols[p.cells[ci].col].codes
-	}
-	if cap(w.bm) < kernel.Words(nrows) {
-		w.bm = make([]uint64, kernel.Words(nrows))
-	}
-	w.bm = w.bm[:kernel.Words(nrows)]
-	pfd.AndSpanBitmaps(w.bm, lhsEvs, lhsCodes, nrows)
-	if w.groupIdx == nil {
-		w.groupIdx = make(map[string]int)
-	}
-	w.keys = w.keys[:0]
-	w.groupIDs = w.groupIDs[:0]
-	clear(w.groupIdx)
-	for wi, word := range w.bm {
-		base := wi * kernel.WordBits
-		for word != 0 {
-			id := base + bits.TrailingZeros64(word)
-			word &= word - 1
-			w.keyBuf = w.keyBuf[:0]
-			for j := range lhsEvs {
-				code := lhsCodes[j][id]
-				w.keyBuf = append(w.keyBuf, lhsEvs[j].Span[code]...)
-				w.keyBuf = append(w.keyBuf, '\x00')
-			}
-			gi, seen := w.groupIdx[string(w.keyBuf)]
-			if !seen {
-				gi = len(w.groupIDs)
-				k := string(w.keyBuf)
-				w.groupIdx[k] = gi
-				w.keys = append(w.keys, k)
-				w.groupIDs = append(w.groupIDs, nil)
-			}
-			w.groupIDs[gi] = append(w.groupIDs[gi], int32(id))
-		}
-	}
-	w.order = w.order[:0]
-	for i := range w.keys {
-		w.order = append(w.order, i)
-	}
-	sort.Slice(w.order, func(i, j int) bool { return w.keys[w.order[i]] < w.keys[w.order[j]] })
-	for _, m := range g.members {
-		scanMember(m, func(yield func(ids []int32)) {
-			for _, gi := range w.order {
-				yield(w.groupIDs[gi])
-			}
-		})
 	}
 }

@@ -116,10 +116,8 @@ func TestPlannedWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// TestPlanReusedAcrossGrowingTable exercises the evaluation cache's
-// extend path: reuse one plan while the table grows (append-only
-// dictionaries), checking equivalence at every step and that the
-// extend path actually ran.
+// TestPlanReusedAcrossGrowingTable reuses one plan while the table
+// grows (append-only dictionaries), checking equivalence at every step.
 func TestPlanReusedAcrossGrowingTable(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	tb := randomTable(r, 40)
@@ -134,13 +132,10 @@ func TestPlanReusedAcrossGrowingTable(t *testing.T) {
 			tb.Append(fmt.Sprintf("z%d-%d", step, i), "AA1", fmt.Sprintf("city%d", step))
 		}
 	}
-	if d := pl.Describe(); d.EvalExtends == 0 {
-		t.Fatalf("expected dictionary-growth extends, got %+v", d)
-	}
 }
 
 // TestShortCircuitZeroMatch checks that rules whose constant LHS cells
-// match no dictionary entry are skipped (counted short-circuited) and
+// match no dictionary entry are skipped (reported as short-circuited) and
 // still come back with the exact independent result — and that a
 // zero-match RHS does NOT suppress the nonMatching violations it must
 // report.
@@ -160,8 +155,10 @@ func TestShortCircuitZeroMatch(t *testing.T) {
 		RHS: pfd.Pat(pattern.Constant("absent")),
 	})
 	pfds := []*pfd.PFD{dead, rhsDead}
-	pl := New(pfds)
-	got := pl.Violations(tb)
+	got, skipped, err := New(pfds).Run(context.Background(), tb)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := independent(pfds, tb)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("short-circuit changed output:\ngot  %v\nwant %v", got, want)
@@ -169,8 +166,8 @@ func TestShortCircuitZeroMatch(t *testing.T) {
 	if len(want[1]) == 0 {
 		t.Fatal("test premise broken: zero-match RHS should violate on every tuple")
 	}
-	if d := pl.Describe(); d.ShortCircuited == 0 {
-		t.Fatalf("dead rule not short-circuited: %+v", d)
+	if skipped == 0 {
+		t.Fatal("dead rule not short-circuited")
 	}
 }
 
@@ -205,31 +202,6 @@ func TestViolationsContextCanceled(t *testing.T) {
 	out, err := New(pfds).ViolationsContext(ctx, tb)
 	if err == nil || out != nil {
 		t.Fatalf("want ctx error and nil output, got %v, %v", out, err)
-	}
-}
-
-// TestCacheIdentity checks hit/miss/evict semantics on slice identity.
-func TestCacheIdentity(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	c := NewCache(2)
-	rs1 := randomRuleset(r, 3)
-	rs2 := randomRuleset(r, 3)
-	p1 := c.For(rs1)
-	if c.For(rs1) != p1 {
-		t.Fatal("same slice contents should hit")
-	}
-	if c.For(append([]*pfd.PFD(nil), rs1...)) != p1 {
-		t.Fatal("copied slice with same pointers should hit")
-	}
-	if c.For(rs2) == p1 {
-		t.Fatal("different ruleset should miss")
-	}
-	// Third distinct ruleset evicts the LRU (rs1 was used most recently
-	// before rs2, so rs1 is older... rs1 hit at seq 3, rs2 at 4: rs1 evicted).
-	c.For(randomRuleset(r, 2))
-	st := c.Stats()
-	if st.Entries != 2 || st.Evictions != 1 || st.Hits != 2 || st.Misses != 3 {
-		t.Fatalf("cache stats: %+v", st)
 	}
 }
 

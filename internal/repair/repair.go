@@ -50,14 +50,6 @@ func Detect(t *relation.Table, pfds []*pfd.PFD) []Finding {
 // so tests can pin it.
 var detectWorkers = runtime.GOMAXPROCS(0)
 
-// planCache holds compiled shared-evaluation plans for the rulesets
-// this process detects with. Ruleset artifacts are long-lived and
-// reused across detect calls (the CLI's detect loop,
-// RepairToFixpoint's rounds), so the per-ruleset plan is worth
-// keeping; 32 covers far more concurrent rulesets than any caller
-// holds.
-var planCache = plan.NewCache(32)
-
 // Options tunes DetectContextOptions.
 type Options struct {
 	// Progress, when non-nil, is invoked after each PFD's scan with the
@@ -83,21 +75,22 @@ func DetectContext(ctx context.Context, t *relation.Table, pfds []*pfd.PFD, onPF
 // DetectContextOptions is DetectContext with explicit options.
 //
 // Multi-rule detection runs through the shared-evaluation planner
-// (internal/plan): identical tableau cells across rules are evaluated
-// once, shared LHS groups are gathered once and fanned out to every
-// member rule, and provably zero-match rules are skipped. The planner
-// is pinned byte-identical to independent evaluation (its per-rule
-// violation slices are exactly what each PFD's own Violations returns),
-// so the dedup fold below sees the same input either way. Single-rule
-// calls and NoPlanner take the independent worker-pool path: each
-// PFD's scan is independent (read-only table, per-PFD memo), and the
+// (internal/plan), compiled for this call and dropped when it returns:
+// identical tableau cells across rules are evaluated once, shared LHS
+// groups are gathered once and fanned out to every member rule, and
+// provably zero-match rules are skipped. The planner is pinned
+// byte-identical to independent evaluation (its per-rule violation
+// slices are exactly what each PFD's own Violations returns), so the
+// dedup fold below sees the same input either way. Single-rule calls
+// and NoPlanner take the independent worker-pool path: each PFD's scan
+// is independent (read-only table, call-local evaluations), and the
 // dedup fold consumes the per-PFD results strictly in pfds order, so
 // the findings are identical to a sequential run at any worker count.
 func DetectContextOptions(ctx context.Context, t *relation.Table, pfds []*pfd.PFD, opts Options) ([]Finding, error) {
 	onPFD := opts.Progress
 	var violations [][]pfd.Violation
 	if !opts.NoPlanner && len(pfds) >= 2 {
-		vs, err := planCache.For(pfds).ViolationsContext(ctx, t)
+		vs, err := plan.New(pfds).ViolationsContext(ctx, t)
 		if err != nil {
 			return nil, err
 		}
