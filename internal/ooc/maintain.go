@@ -114,7 +114,10 @@ func (m *Maintainer) FoldTable(t *relation.Table) {
 			}
 		}
 		deltas[i].support = int64(kernel.PopcountSum(or))
-		deltas[i].violations = int64(len(r.p.Violations(t)))
+		for ri := range r.p.Tableau {
+			_, v := r.p.CountRow(t, ri)
+			deltas[i].violations += int64(v)
+		}
 	}
 
 	m.mu.Lock()

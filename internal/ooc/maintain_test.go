@@ -1,11 +1,13 @@
 package ooc
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 
 	"pfd/internal/datagen"
 	"pfd/internal/discovery"
+	"pfd/internal/kernel"
 	"pfd/internal/pfd"
 )
 
@@ -132,4 +134,50 @@ func TestMaintainerSeed(t *testing.T) {
 		}
 	}
 	t.Fatal("seeded rule missing")
+}
+
+// TestFoldTableCounters pins FoldTable's per-batch accounting on random
+// tables: support is the popcount of the tableau rows' OR-ed LHS match
+// bitmaps and violations the length of the rule's Violations, which
+// FoldTable counts without building them.
+func TestFoldTableCounters(t *testing.T) {
+	r := rand.New(rand.NewSource(25))
+	for _, id := range []string{"T1", "T5", "T13"} {
+		spec, _ := datagen.SpecByID(id)
+		ref, _ := spec.Build(500, 1, 0)
+		var pfds []*pfd.PFD
+		for _, dep := range discovery.Discover(ref, discovery.DefaultParams()).Dependencies {
+			pfds = append(pfds, dep.PFD)
+		}
+		if len(pfds) == 0 {
+			t.Fatalf("mining %s found no rules", id)
+		}
+		for trial := 0; trial < 8; trial++ {
+			tb, _ := spec.Build(r.Intn(400), r.Int63(), 0.3*r.Float64())
+			m := NewMaintainer(pfds, discovery.DefaultParams())
+			m.FoldTable(tb)
+			health := map[string]RuleHealth{}
+			for _, h := range m.Health() {
+				health[h.Embedded] = h
+			}
+			for _, p := range pfds {
+				h := health[embeddedOf(p)]
+				var or []uint64
+				for ri := range p.Tableau {
+					bm := p.LHSMatchBitmap(tb, ri)
+					if or == nil {
+						or = bm
+					}
+					for w := range bm {
+						or[w] |= bm[w]
+					}
+				}
+				support, violations := int64(kernel.PopcountSum(or)), int64(len(p.Violations(tb)))
+				if h.Support != support || h.Violations != violations {
+					t.Fatalf("%s trial %d rule %s: FoldTable counted support %d, violations %d; want %d, %d",
+						id, trial, h.Embedded, h.Support, h.Violations, support, violations)
+				}
+			}
+		}
+	}
 }

@@ -375,14 +375,8 @@ func (m *Matcher) fixedScan(s string) (b0, b1 int, ok bool) {
 // prefixRest skips m.skip leading runes and requires m.lit to follow,
 // returning the remainder after the literal run.
 func (m *Matcher) prefixRest(s string) (string, bool) {
-	for i := 0; i < m.skip; i++ {
-		if s == "" {
-			return "", false
-		}
-		_, w := utf8.DecodeRuneInString(s)
-		s = s[w:]
-	}
-	if !strings.HasPrefix(s, m.lit) {
+	s, ok := skipRunes(s, m.skip)
+	if !ok || !strings.HasPrefix(s, m.lit) {
 		return "", false
 	}
 	return s[len(m.lit):], true

@@ -73,6 +73,11 @@ func (e *MissingColumnError) Error() string {
 type GroupState struct {
 	spans map[string]int // RHS span -> count
 	total int
+	// best is the most frequent span (ties broken by the smallest
+	// span) and bestN its count. Counts only grow, so each fold keeps
+	// them current in O(1).
+	best  string
+	bestN int
 }
 
 // NewGroupState creates an empty consensus group.
@@ -102,28 +107,18 @@ const (
 // FoldRetroactive.
 func (g *GroupState) Fold(span string) (FoldOutcome, string) {
 	g.total++
-	g.spans[span]++
-	if len(g.spans) > 1 {
-		if maj, n := g.majority(); 2*n > g.total {
-			if maj != span {
-				return FoldMinority, maj
-			}
-			return FoldRetroactive, maj
+	n := g.spans[span] + 1
+	g.spans[span] = n
+	if n > g.bestN || (n == g.bestN && span < g.best) {
+		g.best, g.bestN = span, n
+	}
+	if len(g.spans) > 1 && 2*g.bestN > g.total {
+		if g.best != span {
+			return FoldMinority, g.best
 		}
+		return FoldRetroactive, g.best
 	}
 	return FoldAgree, ""
-}
-
-// majority returns the most frequent span (ties broken by the smallest
-// span, deterministically) and its count.
-func (g *GroupState) majority() (string, int) {
-	best, n := "", 0
-	for s, c := range g.spans {
-		if c > n || (c == n && s < best) {
-			best, n = s, c
-		}
-	}
-	return best, n
 }
 
 // NewChecker creates an incremental checker over the given PFDs.

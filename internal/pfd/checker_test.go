@@ -273,3 +273,43 @@ func TestQuickCheckerAgreesWithBatch(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestGroupStateFoldMatchesFullScan replays random fold sequences over
+// small span alphabets, so counts tie often, against the full-scan
+// rule: recount every span, take the most frequent (ties to the
+// smallest span) and compare its count with the group total.
+func TestGroupStateFoldMatchesFullScan(t *testing.T) {
+	r := rand.New(rand.NewSource(25))
+	alphabet := []string{"", "a", "b", "ab", "é"}
+	for trial := 0; trial < 500; trial++ {
+		g := NewGroupState()
+		counts := map[string]int{}
+		k := 1 + r.Intn(len(alphabet))
+		for step, n := 0, r.Intn(40); step < n; step++ {
+			span := alphabet[r.Intn(k)]
+			counts[span]++
+			best, bestN := "", 0
+			for s, c := range counts {
+				if c > bestN || (c == bestN && s < best) {
+					best, bestN = s, c
+				}
+			}
+			wantOut, wantMaj := FoldAgree, ""
+			if len(counts) > 1 && 2*bestN > step+1 {
+				wantOut, wantMaj = FoldRetroactive, best
+				if best != span {
+					wantOut = FoldMinority
+				}
+			}
+			gotOut, gotMaj := g.Fold(span)
+			if gotOut != wantOut || gotMaj != wantMaj {
+				t.Fatalf("trial %d step %d fold %q (counts %v): got (%d, %q), want (%d, %q)",
+					trial, step, span, counts, gotOut, gotMaj, wantOut, wantMaj)
+			}
+			if g.best != best || g.bestN != bestN {
+				t.Fatalf("trial %d step %d: running best (%q, %d), full scan (%q, %d)",
+					trial, step, g.best, g.bestN, best, bestN)
+			}
+		}
+	}
+}

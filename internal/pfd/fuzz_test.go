@@ -1,6 +1,13 @@
 package pfd
 
-import "testing"
+import (
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+
+	"pfd/internal/pattern"
+)
 
 // FuzzParsePFD pins the parse/render fixpoint: any input that ParsePFD
 // accepts must render to a string that parses back to a structurally
@@ -41,4 +48,112 @@ func FuzzParsePFD(f *testing.F) {
 			t.Fatalf("render not a fixpoint:\n in  %q\n 1st %q\n 2nd %q", src, rendered, got)
 		}
 	})
+}
+
+// FuzzEvalColumnSpans pins the planner's one-pass column bind to its
+// per-cell oracle: over a random dictionary, EvalColumnSpans must equal
+// EvalCellSpans cell by cell, Sids order included. The cell sets mix
+// constants (the empty constant too), anchored prefixes behind
+// multi-byte rune skips, cells sharing one literal, wildcards and
+// unanchored shapes; the dictionaries hold invalid UTF-8, the fuzzed
+// bytes themselves and values shorter than skip + literal. CI runs a
+// short -fuzz smoke over this target.
+func FuzzEvalColumnSpans(f *testing.F) {
+	f.Add(int64(1), uint8(12), uint8(40), "")
+	f.Add(int64(2), uint8(39), uint8(200), "\xff\xfeLinda é")
+	f.Add(int64(3), uint8(0), uint8(0), "")
+	f.Add(int64(4), uint8(25), uint8(120), "€x\xc3")
+	f.Fuzz(func(t *testing.T, seed int64, ncells, nvals uint8, raw string) {
+		r := rand.New(rand.NewSource(seed))
+		cells := make([]Cell, 1+int(ncells)%40)
+		for i := range cells {
+			if i > 0 && r.Intn(6) == 0 {
+				cells[i] = cells[r.Intn(i)] // the same cell twice
+				continue
+			}
+			cells[i] = randomColumnCell(r)
+		}
+		dict := randomColumnDict(r, int(nvals), raw)
+		got := EvalColumnSpans(cells, dict)
+		if len(got) != len(cells) {
+			t.Fatalf("%d evaluations for %d cells", len(got), len(cells))
+		}
+		for i, c := range cells {
+			if want := EvalCellSpans(c, dict); !reflect.DeepEqual(got[i], want) {
+				t.Fatalf("cell %d %s over %q:\n got %+v\nwant %+v", i, c, dict, got[i], want)
+			}
+		}
+	})
+}
+
+// Value and literal pools for FuzzEvalColumnSpans: small, so that cells
+// share literals and values carry them; multi-byte runes so that rune
+// skips and byte lengths differ.
+var (
+	columnLits   = []string{"Li", "Linda ", "é", "€x", "90", "a", "B7", "😀"}
+	columnRunes  = []string{"a", "B", "7", " ", "é", "€", "😀", "\xff"}
+	columnPieces = []string{"", "a", "Li", "nda", " ", "é", "€", "90", "\xff", "\xc3", "\xe2\x82"}
+	columnShapes = []string{`(\LU+)`, `(\D{3})\D{2}`, `(\A+)`, `\A*(a)\A*`, `(\A{2})Li\A*`, `(\LL+)\D*`, `(\LU\LL*\ )\A*`, `\D+`}
+)
+
+// randomColumnCell draws a wildcard, a constant, an anchored prefix
+// (constrained or not, after 0–3 skipped runes) or an unanchored shape.
+func randomColumnCell(r *rand.Rand) Cell {
+	lit := columnLits[r.Intn(len(columnLits))]
+	switch r.Intn(5) {
+	case 0:
+		return Wildcard()
+	case 1:
+		if r.Intn(4) == 0 {
+			lit = ""
+		}
+		return Pat(pattern.Constant(lit))
+	case 2, 3:
+		skip := r.Intn(4)
+		var toks []pattern.Token
+		if skip > 0 {
+			toks = append(toks, pattern.Exactly(pattern.Any, skip))
+		}
+		lo := len(toks)
+		for _, c := range lit {
+			toks = append(toks, pattern.Lit(c))
+		}
+		hi := len(toks)
+		toks = append(toks, pattern.Star(pattern.Any))
+		if r.Intn(4) == 0 {
+			return Pat(pattern.New(toks...))
+		}
+		return Pat(pattern.NewConstrained(toks, lo, hi))
+	default:
+		return Pat(pattern.MustParse(columnShapes[r.Intn(len(columnShapes))]))
+	}
+}
+
+// randomColumnDict draws n values: runes, then a pool literal, then a
+// tail; bare pieces; cuts of either at any byte; and raw and its cuts.
+func randomColumnDict(r *rand.Rand, n int, raw string) []string {
+	dict := []string{raw}
+	for len(dict) < n {
+		var b strings.Builder
+		if r.Intn(2) == 0 {
+			for k := r.Intn(4); k > 0; k-- {
+				b.WriteString(columnRunes[r.Intn(len(columnRunes))])
+			}
+			b.WriteString(columnLits[r.Intn(len(columnLits))])
+		}
+		for k := r.Intn(4); k > 0; k-- {
+			b.WriteString(columnPieces[r.Intn(len(columnPieces))])
+		}
+		v := b.String()
+		switch r.Intn(4) {
+		case 0:
+			v = v[:r.Intn(len(v)+1)]
+		case 1:
+			if raw != "" {
+				v = raw[:r.Intn(len(raw)+1)]
+			}
+		}
+		dict = append(dict, v)
+	}
+	return dict
 }

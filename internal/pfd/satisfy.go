@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"pfd/internal/kernel"
+	"pfd/internal/pattern"
 	"pfd/internal/relation"
 )
 
@@ -73,6 +74,70 @@ func EvalCellSpans(c Cell, dict []string) *SpanEval {
 		ev.Sid[code] = sid
 	}
 	return ev
+}
+
+// EvalColumnSpans evaluates every cell of cells over one column
+// dictionary in a single pass and returns the evaluations aligned with
+// cells, each equal to EvalCellSpans(cells[i], dict). Cells that anchor
+// a literal (constants, anchored prefixes) are filed in a
+// pattern.AnchorIndex, so a value is confirmed only against the cells
+// whose literal it carries and every other anchored cell keeps Sid -1;
+// the rest (wildcards, class runs, general shapes) are evaluated on
+// every value. Codes are visited in ascending order, so each cell's
+// Sids come out in first-code order, as EvalCellSpans assigns them.
+func EvalColumnSpans(cells []Cell, dict []string) []*SpanEval {
+	evs := make([]*SpanEval, len(cells))
+	var ix pattern.AnchorIndex
+	var scan []int32
+	for i, c := range cells {
+		sid := make([]int32, len(dict))
+		evs[i] = &SpanEval{Sid: sid}
+		if c.IsWildcard() || !ix.Add(c.Pattern.Compiled(), int32(i)) {
+			scan = append(scan, int32(i))
+			continue
+		}
+		for code := range sid {
+			sid[code] = -1
+		}
+	}
+	interns := make([]map[string]int32, len(cells))
+	var cand []int32
+	for code, v := range dict {
+		cand, _ = ix.Lookup(v, append(cand[:0], scan...))
+		for _, ci := range cand {
+			ev := evs[ci]
+			span, ok := cells[ci].Span(v)
+			if !ok {
+				ev.Sid[code] = -1
+				continue
+			}
+			// Anchored cells have one span, so the intern map is built
+			// only once a second distinct span shows up.
+			n := len(ev.Sids)
+			if n > 0 && ev.Sids[n-1] == span {
+				ev.Sid[code] = int32(n - 1)
+				continue
+			}
+			if n > 0 {
+				m := interns[ci]
+				if m == nil {
+					m = make(map[string]int32, 16)
+					for sid, s := range ev.Sids {
+						m[s] = int32(sid)
+					}
+					interns[ci] = m
+				}
+				if sid, seen := m[span]; seen {
+					ev.Sid[code] = sid
+					continue
+				}
+				m[span] = int32(n)
+			}
+			ev.Sid[code] = int32(n)
+			ev.Sids = append(ev.Sids, span)
+		}
+	}
+	return evs
 }
 
 // evalLHS evaluates every LHS cell of tableau row ri over its column's

@@ -13,8 +13,10 @@
 //
 //   - identical (column, cell) pairs across all rules are canonicalized
 //     (by the cell's tableau rendering, which round-trips) and interned
-//     into one evaluation pool — one pattern pass per distinct pair per
-//     execute;
+//     into one evaluation pool, and each column's pooled cells are
+//     evaluated together in one anchored pass over its dictionary
+//     (pfd.EvalColumnSpans), so a value is matched only against the
+//     cells whose literal it carries;
 //   - tableau rows with the same ordered LHS (attribute, cell) list
 //     form one group: its row partition (pfd.Partition, the driver
 //     (*pfd.PFD).Violations uses) is built once and fanned out to every
@@ -244,6 +246,7 @@ type colState struct {
 	dict   []string
 	codes  []uint32
 	counts []int
+	needed []int // cell-pool indices bound over this column, ascending
 }
 
 // liveGroup is a group that survived short-circuiting, with its
@@ -261,17 +264,14 @@ func (p *Plan) Run(ctx context.Context, t *relation.Table) (out [][]pfd.Violatio
 	// Resolve every referenced column once (MustCol panics on a missing
 	// column, exactly as independent evaluation would).
 	cols := make(map[string]*colState)
-	state := func(name string) *colState {
-		if cs, ok := cols[name]; ok {
-			return cs
-		}
-		ci := t.MustCol(name)
-		cs := &colState{dict: t.Dict(ci), codes: t.Codes(ci), counts: t.DictCounts(ci)}
-		cols[name] = cs
-		return cs
-	}
+	var colOrder []*colState
 	for _, e := range p.cells {
-		state(e.col)
+		if _, ok := cols[e.col]; !ok {
+			ci := t.MustCol(e.col)
+			cs := &colState{dict: t.Dict(ci), codes: t.Codes(ci), counts: t.DictCounts(ci)}
+			cols[e.col] = cs
+			colOrder = append(colOrder, cs)
+		}
 	}
 
 	// Short-circuit pass 1 — fully-constrained constant cells, by a
@@ -321,11 +321,23 @@ groups:
 	}
 
 	// Bind: evaluate every cell the surviving groups touch, once, for
-	// this execute only.
+	// this execute only — all of one column's cells in one anchored
+	// pass over its dictionary.
 	evs := make([]*pfd.SpanEval, len(p.cells))
 	for ci := range p.cells {
 		if needed[ci] {
-			evs[ci] = pfd.EvalCellSpans(p.cells[ci].cell, cols[p.cells[ci].col].dict)
+			cs := cols[p.cells[ci].col]
+			cs.needed = append(cs.needed, ci)
+		}
+	}
+	var cells []pfd.Cell
+	for _, cs := range colOrder {
+		cells = cells[:0]
+		for _, ci := range cs.needed {
+			cells = append(cells, p.cells[ci].cell)
+		}
+		for k, ev := range pfd.EvalColumnSpans(cells, cs.dict) {
+			evs[cs.needed[k]] = ev
 		}
 	}
 

@@ -56,33 +56,6 @@ func TestSetRetiresAndExtends(t *testing.T) {
 	}
 }
 
-// TestColIDVersionsDerivedData: ColID is stable under Set (dictionary
-// append) and fresh for Clone/Project copies, the contract the
-// per-distinct memoization in internal/pfd relies on.
-func TestColIDVersionsDerivedData(t *testing.T) {
-	tb := New("T", "a", "b")
-	tb.Append("1", "2")
-	ida, idb := tb.ColID(0), tb.ColID(1)
-	if ida == idb {
-		t.Fatal("columns of one table must have distinct ids")
-	}
-	tb.Set(0, "a", "9")
-	if tb.ColID(0) != ida {
-		t.Fatal("Set must not change the column identity")
-	}
-	cl := tb.Clone()
-	if cl.ColID(0) == ida || cl.ColID(1) == idb {
-		t.Fatal("Clone must mint fresh column ids")
-	}
-	pr := tb.Project("b")
-	if pr.ColID(0) == idb {
-		t.Fatal("Project must mint fresh column ids")
-	}
-	if pr.At(0, 0) != "2" {
-		t.Fatalf("Project value = %q", pr.At(0, 0))
-	}
-}
-
 // TestEmptyAndInvalidUTF8Cells: empty strings and invalid UTF-8 are
 // ordinary dictionary entries — interning is byte-exact.
 func TestEmptyAndInvalidUTF8Cells(t *testing.T) {

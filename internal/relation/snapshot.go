@@ -275,7 +275,6 @@ func loadSnapshotBytes(raw []byte) (*Table, error) {
 		if err := cur.pad(); err != nil {
 			return nil, err
 		}
-		c.id = nextColID.Add(1)
 	}
 	t.Cols = cols
 	t.nrows = nrows

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync/atomic"
 )
 
 // A column is one dictionary-encoded attribute: the distinct values in
@@ -23,15 +22,7 @@ type column struct {
 	counts []int             // code -> number of rows currently holding it
 	lookup map[string]uint32 // value -> code
 	codes  []uint32          // row -> code
-	// id is a process-unique identity for this column instance. The
-	// dictionary is append-only, so (id, len(dict)) versions any
-	// per-distinct derived data: equal id with a longer dict means the
-	// cached prefix is still valid and only the tail is new.
-	id uint64
 }
-
-// nextColID issues process-unique column identities.
-var nextColID atomic.Uint64
 
 // intern returns the code for v, adding it to the dictionary on first
 // sight. A nil lookup means "not built yet" (snapshot loads defer it —
@@ -84,7 +75,6 @@ func (c *column) clone() column {
 		dict:   append([]string(nil), c.dict...),
 		counts: append([]int(nil), c.counts...),
 		codes:  append([]uint32(nil), c.codes...),
-		id:     nextColID.Add(1),
 	}
 	if c.lookup != nil {
 		cp.lookup = make(map[string]uint32, len(c.lookup))
@@ -122,7 +112,6 @@ func New(name string, cols ...string) *Table {
 	t.cols = make([]column, len(t.Cols))
 	for i := range t.cols {
 		t.cols[i].lookup = map[string]uint32{}
-		t.cols[i].id = nextColID.Add(1)
 	}
 	t.reindex()
 	return t
@@ -204,14 +193,6 @@ func (t *Table) Dict(col int) []string { return t.cols[col].dict }
 // column col (how many rows currently hold it). The slice is shared
 // with the table — callers must treat it as read-only.
 func (t *Table) DictCounts(col int) []int { return t.cols[col].counts }
-
-// ColID returns a process-unique identity for column col. Because
-// dictionaries only ever grow, a (ColID, len(Dict)) pair versions any
-// data derived per distinct value: same id and same length means the
-// derivation is still exact; same id with a longer dictionary means
-// only the new tail needs evaluating. Clone and Project mint fresh ids
-// for the copies.
-func (t *Table) ColID(col int) uint64 { return t.cols[col].id }
 
 // Set rewrites the cell at (row, named column).
 func (t *Table) Set(row int, col string, v string) {
@@ -300,7 +281,6 @@ func NewFromColumns(name string, cols []string, dicts [][]string, codes [][]uint
 			dict:   dicts[i],
 			counts: counts,
 			codes:  codes[i],
-			id:     nextColID.Add(1),
 		}
 	}
 	t.nrows = nrows

@@ -1,10 +1,9 @@
 package stream
 
 import (
-	"cmp"
 	"slices"
-	"unicode/utf8"
 
+	"pfd/internal/pattern"
 	"pfd/internal/pfd"
 )
 
@@ -17,10 +16,11 @@ import (
 // Discovered tableaux are mostly constant rows, and a constant or
 // anchored-prefix cell states a literal every matching value carries
 // (pattern.Matcher.Anchor). The index files each row under the first
-// LHS cell that has such an anchor, keyed by that literal, so a tuple
-// costs one map lookup per anchor group instead of one pattern match per
-// tableau row. The index is only a sound filter: a row it returns may
-// still fail to match, and every row it omits could not have matched.
+// LHS cell that has such an anchor, keyed by that literal
+// (pattern.AnchorIndex), so a tuple costs one map lookup per anchor
+// group instead of one pattern match per tableau row. The index is only
+// a sound filter: a row it returns may still fail to match, and every
+// row it omits could not have matched.
 
 // rowMeta caches the per-tableau-row facts matchRow needs on every tuple.
 type rowMeta struct {
@@ -31,31 +31,15 @@ type rowMeta struct {
 	constRHS string
 }
 
-// anchorKey is the shape shared by the literals of one anchor group:
-// the value-vector position they apply to, the runes skipped before
-// the literal, the literal's byte length, and whether the literal is
-// the whole value.
-type anchorKey struct {
-	pos, skip, n int
-	exact        bool
-}
-
-// anchorGroup maps each literal of one shape to the tableau rows filed
-// under it, in ascending order.
-type anchorGroup struct {
-	anchorKey
-	rows map[string][]int32
-}
-
 // ruleIndex is one PFD's dispatch index. It is built once by NewContext
 // and never changes, so concurrent producers read it without a lock.
 type ruleIndex struct {
 	lhs  []int // value-vector position of each LHS attribute
 	rhs  int   // value-vector position of the RHS attribute
 	meta []rowMeta
-	// groups are ordered by (pos, skip) so consecutive groups share the
-	// rune skip over one value.
-	groups []anchorGroup
+	// anchors[j] files the rows whose first anchored LHS cell is cell
+	// j, keyed by that cell's literal.
+	anchors []pattern.AnchorIndex
 	// scan lists the rows with no anchored LHS cell (wildcards, class
 	// runs, general shapes), ascending: they are candidates for every
 	// tuple.
@@ -66,14 +50,14 @@ type ruleIndex struct {
 // value-vector position.
 func newRuleIndex(p *pfd.PFD, pos map[string]int) ruleIndex {
 	ix := ruleIndex{
-		lhs:  make([]int, len(p.LHS)),
-		rhs:  pos[p.RHS],
-		meta: make([]rowMeta, len(p.Tableau)),
+		lhs:     make([]int, len(p.LHS)),
+		rhs:     pos[p.RHS],
+		meta:    make([]rowMeta, len(p.Tableau)),
+		anchors: make([]pattern.AnchorIndex, len(p.LHS)),
 	}
 	for j, a := range p.LHS {
 		ix.lhs[j] = pos[a]
 	}
-	byKey := map[anchorKey]int{}
 rows:
 	for ri, tr := range p.Tableau {
 		m := &ix.meta[ri]
@@ -81,80 +65,30 @@ rows:
 			m.constRHS, _ = tr.RHS.Constant()
 		}
 		for j, c := range tr.LHS {
-			if c.IsWildcard() {
-				continue
+			if !c.IsWildcard() && ix.anchors[j].Add(c.Pattern.Compiled(), int32(ri)) {
+				continue rows
 			}
-			skip, lit, exact, ok := c.Pattern.Compiled().Anchor()
-			if !ok {
-				continue
-			}
-			k := anchorKey{pos: ix.lhs[j], skip: skip, n: len(lit), exact: exact}
-			gi, seen := byKey[k]
-			if !seen {
-				gi = len(ix.groups)
-				byKey[k] = gi
-				ix.groups = append(ix.groups, anchorGroup{anchorKey: k, rows: map[string][]int32{}})
-			}
-			ix.groups[gi].rows[lit] = append(ix.groups[gi].rows[lit], int32(ri))
-			continue rows
 		}
 		ix.scan = append(ix.scan, int32(ri))
 	}
-	slices.SortStableFunc(ix.groups, func(a, b anchorGroup) int {
-		return cmp.Or(cmp.Compare(a.pos, b.pos), cmp.Compare(a.skip, b.skip))
-	})
 	return ix
 }
 
 // candidates appends to dst[:0] the tableau rows the tuple vals can
-// match, in ascending order: the scan list plus one lookup per group.
+// match, in ascending order: the scan list plus one lookup per anchor
+// group.
 func (ix *ruleIndex) candidates(vals []string, dst []int32) []int32 {
 	dst = append(dst[:0], ix.scan...)
 	sources := min(len(ix.scan), 1) // non-empty sorted runs in dst
-	lastPos, lastSkip := -1, -1
-	var rest string
-	restOK := false
-	for i := range ix.groups {
-		g := &ix.groups[i]
-		v := vals[g.pos]
-		var rows []int32
-		if g.exact {
-			if len(v) != g.n {
-				continue
-			}
-			rows = g.rows[v]
-		} else {
-			if g.pos != lastPos || g.skip != lastSkip {
-				lastPos, lastSkip = g.pos, g.skip
-				rest, restOK = skipRunes(v, g.skip)
-			}
-			if !restOK || len(rest) < g.n {
-				continue
-			}
-			rows = g.rows[rest[:g.n]]
-		}
-		if len(rows) > 0 {
-			sources++
-			dst = append(dst, rows...)
-		}
+	for j := range ix.anchors {
+		var runs int
+		dst, runs = ix.anchors[j].Lookup(vals[ix.lhs[j]], dst)
+		sources += runs
 	}
 	if sources > 1 {
 		slices.Sort(dst)
 	}
 	return dst
-}
-
-// skipRunes drops n leading runes from s, decoding exactly as the
-// prefix matcher does; ok is false when s has fewer than n runes.
-func skipRunes(s string, n int) (string, bool) {
-	for i := 0; i < n; i++ {
-		if s == "" {
-			return "", false
-		}
-		_, w := utf8.DecodeRuneInString(s)
-		s = s[w:]
-	}
-	return s, true
 }
 
 // matchScratch is the per-call state of the match phase.

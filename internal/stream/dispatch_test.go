@@ -126,11 +126,8 @@ func firstN(vs []pfd.StreamViolation) []pfd.StreamViolation {
 // lists across an engine's index.
 func indexShape(e *Engine) (anchored, scanned int) {
 	for _, ix := range e.index {
-		for _, g := range ix.groups {
-			for _, rows := range g.rows {
-				anchored += len(rows)
-			}
-		}
+		// Every row is filed under exactly one anchor or on the scan list.
+		anchored += len(ix.meta) - len(ix.scan)
 		scanned += len(ix.scan)
 	}
 	return anchored, scanned
@@ -402,13 +399,13 @@ func BenchmarkSubmitMinedT1(b *testing.B) {
 	e.Close()
 }
 
-// describeIndex renders the index's group shapes for failure messages.
+// describeIndex renders the index's anchor groups for failure messages.
 func describeIndex(e *Engine) string {
 	var b strings.Builder
 	for pi, ix := range e.index {
-		fmt.Fprintf(&b, "pfd %d: %d groups, scan %v\n", pi, len(ix.groups), ix.scan)
-		for _, g := range ix.groups {
-			fmt.Fprintf(&b, "  pos=%d skip=%d n=%d exact=%v: %d literals\n", g.pos, g.skip, g.n, g.exact, len(g.rows))
+		fmt.Fprintf(&b, "pfd %d: scan %v\n", pi, ix.scan)
+		for j, a := range ix.anchors {
+			fmt.Fprintf(&b, "  lhs %d (pos %d): %+v\n", j, ix.lhs[j], a)
 		}
 	}
 	return b.String()
