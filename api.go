@@ -159,7 +159,8 @@ func (d *Detection) Repair() (*Table, int) { return repair.Apply(d.table, d.find
 // Detect applies PFDs to a source and returns one finding per distinct
 // erroneous cell, each with a proposed, explainable repair when the
 // violated constraint pins one. Cancellation is observed during
-// materialization and between PFDs, and surfaces as a *CanceledError.
+// materialization and between the planner's LHS groups (between PFDs
+// under WithoutSharedPlan), and surfaces as a *CanceledError.
 func Detect(ctx context.Context, src Source, pfds []*PFD, opts ...DetectOption) (*Detection, error) {
 	cfg := newDetectConfig(opts)
 	t, err := source.Materialize(ctx, src)
@@ -201,7 +202,8 @@ func (r *RepairResult) AllRemaining() iter.Seq[Finding] { return seqOf(r.holisti
 // RepairToFixpoint materializes a source and runs detect-repair rounds
 // until no proposable repair remains (chained errors such as a wrong
 // zip masking a wrong city need more than one pass). Cancellation is
-// observed between rounds and surfaces as a *CanceledError.
+// observed between rounds and inside each round's detection, and
+// surfaces as a *CanceledError.
 func RepairToFixpoint(ctx context.Context, src Source, pfds []*PFD, opts ...RepairOption) (*RepairResult, error) {
 	cfg := newRepairConfig(opts)
 	t, err := source.Materialize(ctx, src)

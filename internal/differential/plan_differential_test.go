@@ -20,7 +20,8 @@ import (
 // rulesets of every T1–T15 workload — the same instances the golden
 // pipeline covers — both at the raw violation level (per-rule slices,
 // reflect.DeepEqual including nil-ness) and through detection (planner
-// path vs the NoPlanner worker pool).
+// path vs the NoPlanner per-rule loop, for the whole ruleset and for
+// each rule alone).
 func TestPlannedEvaluationDifferential(t *testing.T) {
 	for _, spec := range datagen.Specs() {
 		spec := spec
@@ -118,8 +119,10 @@ func TestPlannedGeneratedRuleset(t *testing.T) {
 }
 
 // assertPlannedIdentical checks planned == independent at the
-// violation level and the detection level, returning the plan and the
-// number of groups its execute short-circuited for further inspection.
+// violation level and the detection level — the whole ruleset, then
+// each rule alone, the one-rule plan a single-rule Detect compiles —
+// returning the plan and the number of groups its execute
+// short-circuited for further inspection.
 func assertPlannedIdentical(t *testing.T, tbl *relation.Table, pfds []*pfd.PFD) (*plan.Plan, int) {
 	t.Helper()
 	pl := plan.New(pfds)
@@ -141,6 +144,18 @@ func assertPlannedIdentical(t *testing.T, tbl *relation.Table, pfds []*pfd.PFD) 
 	}
 	if !reflect.DeepEqual(planned, naive) {
 		t.Fatalf("planned detection diverges from independent: %d vs %d findings", len(planned), len(naive))
+	}
+	for i, p := range pfds {
+		one := []*pfd.PFD{p}
+		planned := repair.Detect(tbl, one)
+		naive, err := repair.DetectContextOptions(context.Background(), tbl, one, repair.Options{NoPlanner: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(planned, naive) {
+			t.Fatalf("rule %d (%s) alone: planned detection diverges from independent: %d vs %d findings",
+				i, p.Embedded(), len(planned), len(naive))
+		}
 	}
 	return pl, skipped
 }

@@ -71,7 +71,7 @@ func TestExtendAllocs(t *testing.T) {
 }
 
 // TestGeneralizeValidationAllocs pins generalize's count-and-coverage
-// pass (pfd.CountRow on the candidate variable row) to a budget that
+// pass (pfd.Count on the one-row candidate variable PFD) to a budget that
 // does not grow with the table or its violations: it evaluates each
 // cell once per distinct value and counts group verdicts, and never
 // materializes a Violation or its Cells slices. The fixture's 2,000
@@ -90,13 +90,14 @@ func TestGeneralizeValidationAllocs(t *testing.T) {
 		LHS: []pfd.Cell{pfd.Pat(pattern.MustParse(`(\D{3})\D{2}`))},
 		RHS: pfd.Wildcard(),
 	})
-	covered, violations := vp.CountRow(tb, 0)
+	covered, violations := vp.Count(tb)
 	if covered != 2000 || violations != 154 {
 		t.Fatalf("fixture: covered %d, %d violations; want 2000, 154", covered, violations)
 	}
-	avg := testing.AllocsPerRun(20, func() { vp.CountRow(tb, 0) })
-	// Measured 70: two cell evaluations, the gather arena, the group
-	// scan's slot lists. Violations on the same rule measured 600.
+	avg := testing.AllocsPerRun(20, func() { vp.Count(tb) })
+	// Measured 80: the tableau bind (two column evaluations), the
+	// gather arena, the group scan's slot lists. Violations on the same
+	// rule measured 600.
 	const limit = 100
 	if avg > limit {
 		t.Fatalf("generalize's validation pass allocates %.1f per run, want <= %d", avg, limit)

@@ -38,7 +38,7 @@ func (d *discoverer) generalize(lhs []string, rhs string, rows []pfd.Row) (vp *p
 	// threshold (Example 8 applies the rule on r9 and r10): one pass of
 	// the group check Violations runs, counting covered rows and
 	// violations without materializing any Violation.
-	covered, violations := vp.CountRow(d.t, 0)
+	covered, violations := vp.Count(d.t)
 	if covered == 0 || violations > d.params.allowed(covered) {
 		return nil, 0
 	}

@@ -35,38 +35,15 @@ func TailMask(n int) uint64 {
 	return ^uint64(0)
 }
 
-// MatchBitmap expands a per-dictionary match flag table into a row
-// bitmap: bit r of dst is set iff flags[codes[r]]. dst must hold
+// MatchBitmapSigned expands a signed per-dictionary id table into a
+// row bitmap: bit r of dst is set iff ids[codes[r]] >= 0. dst must hold
 // Words(len(codes)) words; it is fully overwritten (tail bits cleared)
-// and returned. flags is indexed by dictionary code, so the expensive
+// and returned. ids is indexed by dictionary code, so the expensive
 // predicate (pattern matching, span evaluation) runs once per distinct
 // value and this kernel is pure table lookups — 64 rows per output
-// word, no per-row branches.
-func MatchBitmap(dst []uint64, codes []uint32, flags []bool) []uint64 {
-	n := len(codes)
-	var w uint64
-	for r := 0; r < n; r++ {
-		var b uint64
-		if flags[codes[r]] {
-			b = 1
-		}
-		w |= b << (uint(r) & 63)
-		if r&63 == 63 {
-			dst[r>>6] = w
-			w = 0
-		}
-	}
-	if n&63 != 0 {
-		dst[n>>6] = w
-	}
-	return dst
-}
-
-// MatchBitmapSigned is MatchBitmap over a signed per-dictionary id
-// table: bit r of dst is set iff ids[codes[r]] >= 0. It is the form
-// the PFD layer uses directly — interned span ids are >= 0 for
-// matching dictionary entries and -1 for rejected ones, so the match
-// flag is the id's sign bit and no separate bool table is needed.
+// word, no per-row branches. Interned span ids are >= 0 for matching
+// dictionary entries and -1 for rejected ones, so the match flag is
+// the id's sign bit and no separate bool table is needed.
 func MatchBitmapSigned(dst []uint64, codes []uint32, ids []int32) []uint64 {
 	n := len(codes)
 	var w uint64
@@ -114,22 +91,6 @@ func And(dst, a, b []uint64) {
 	}
 }
 
-// AndInPlace intersects src into dst: dst &= src.
-func AndInPlace(dst, src []uint64) {
-	_ = dst[:len(src)]
-	for i := range src {
-		dst[i] &= src[i]
-	}
-}
-
-// AndNot writes a &^ b into dst (aliasing allowed, equal lengths).
-func AndNot(dst, a, b []uint64) {
-	_ = dst[:len(a)]
-	for i := range a {
-		dst[i] = a[i] &^ b[i]
-	}
-}
-
 // AndNotAny reports whether a has any bit not in b — the kernel behind
 // subset tests: a ⊆ b iff AndNotAny(a, b) is false. b may be shorter
 // than a; missing words are treated as zero.
@@ -144,14 +105,6 @@ func AndNotAny(a, b []uint64) bool {
 		}
 	}
 	return false
-}
-
-// Or writes a | b into dst (aliasing allowed, equal lengths).
-func Or(dst, a, b []uint64) {
-	_ = dst[:len(a)]
-	for i := range a {
-		dst[i] = a[i] | b[i]
-	}
 }
 
 // OrInPlace unions src into dst: dst |= src. src may be shorter than
@@ -206,26 +159,6 @@ func AppendIDs(dst []int, words []uint64) []int {
 		}
 	}
 	return dst
-}
-
-// AppendIDs32 is AppendIDs producing int32 row ids.
-func AppendIDs32(dst []int32, words []uint64) []int32 {
-	for i, w := range words {
-		base := int32(i * WordBits)
-		for w != 0 {
-			dst = append(dst, base+int32(bits.TrailingZeros64(w)))
-			w &= w - 1
-		}
-	}
-	return dst
-}
-
-// Expand writes the bits of an n-row bitmap into dst as bools:
-// dst[r] = bit r of words. dst must have length n.
-func Expand(dst []bool, words []uint64) {
-	for r := range dst {
-		dst[r] = words[r>>6]>>(uint(r)&63)&1 == 1
-	}
 }
 
 // Groups is the reusable output and scratch of the gather kernels: row
@@ -411,40 +344,6 @@ func GatherGroupsCodesParallel(g *Groups, codes []uint32, ids []int32, chunkRows
 			cursors[sid]++
 		}
 	})
-}
-
-// GatherGroupsBitmap groups the set rows of bm by span id:
-// ids[codes[r]] names row r's group for every bit r of bm. Unlike
-// GatherGroupsCodes it only visits set rows (zero words skip 64 rows
-// at once), so it is the kernel for pre-filtered scans — a bitmap
-// already And-combined across several attributes.
-func GatherGroupsBitmap(g *Groups, bm []uint64, codes []uint32, ids []int32) {
-	g.reset(len(ids))
-	for i, w := range bm {
-		base := i * WordBits
-		for w != 0 {
-			r := base + bits.TrailingZeros64(w)
-			w &= w - 1
-			if sid := ids[codes[r]]; sid >= 0 {
-				g.counts[sid]++
-			}
-		}
-	}
-	slotOf, _ := g.layout()
-	for i, w := range bm {
-		base := i * WordBits
-		for w != 0 {
-			r := base + bits.TrailingZeros64(w)
-			w &= w - 1
-			sid := ids[codes[r]]
-			if sid < 0 {
-				continue
-			}
-			slot := slotOf[sid]
-			g.ids[g.cursor[slot]] = int32(r)
-			g.cursor[slot]++
-		}
-	}
 }
 
 // MatchedWeight sums the live multiplicities of every dictionary entry

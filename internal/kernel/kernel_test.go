@@ -17,7 +17,9 @@ func naiveMatch(codes []uint32, flags []bool) []bool {
 
 func bitmapToBools(words []uint64, n int) []bool {
 	out := make([]bool, n)
-	Expand(out, words)
+	for r := range out {
+		out[r] = words[r>>6]>>(uint(r)&63)&1 == 1
+	}
 	return out
 }
 
@@ -75,22 +77,15 @@ func TestMatchBitmapSizes(t *testing.T) {
 			want := naiveMatch(codes, flags)
 
 			dst := make([]uint64, Words(n))
-			MatchBitmap(dst, codes, flags)
-			if got := bitmapToBools(dst, n); !equalBools(got, want) {
-				t.Fatalf("n=%d distinct=%d: MatchBitmap mismatch", n, distinct)
-			}
-			checkTail(t, dst, n)
-
-			dst2 := make([]uint64, Words(n))
 			// Dirty the destination to prove it is fully overwritten.
-			for i := range dst2 {
-				dst2[i] = ^uint64(0)
+			for i := range dst {
+				dst[i] = ^uint64(0)
 			}
-			MatchBitmapSigned(dst2, codes, ids)
-			if got := bitmapToBools(dst2, n); !equalBools(got, want) {
+			MatchBitmapSigned(dst, codes, ids)
+			if got := bitmapToBools(dst, n); !equalBools(got, want) {
 				t.Fatalf("n=%d distinct=%d: MatchBitmapSigned mismatch", n, distinct)
 			}
-			checkTail(t, dst2, n)
+			checkTail(t, dst, n)
 
 			if got, want := PopcountSum(dst), countTrue(want); got != want {
 				t.Fatalf("n=%d: PopcountSum = %d, want %d", n, got, want)
@@ -149,26 +144,6 @@ func TestCombinators(t *testing.T) {
 				t.Fatal("And mismatch")
 			}
 		}
-		Or(dst, a, b)
-		for i := range dst {
-			if dst[i] != a[i]|b[i] {
-				t.Fatal("Or mismatch")
-			}
-		}
-		AndNot(dst, a, b)
-		for i := range dst {
-			if dst[i] != a[i]&^b[i] {
-				t.Fatal("AndNot mismatch")
-			}
-		}
-
-		ac := append([]uint64(nil), a...)
-		AndInPlace(ac, b)
-		for i := range ac {
-			if ac[i] != a[i]&b[i] {
-				t.Fatal("AndInPlace mismatch")
-			}
-		}
 		oc := append([]uint64(nil), a...)
 		OrInPlace(oc, b)
 		for i := range oc {
@@ -185,7 +160,7 @@ func TestCombinators(t *testing.T) {
 			t.Fatalf("AndCount = %d, want %d", got, wantAndCount)
 		}
 
-		// Subset algebra: a&b ⊆ a, and a ⊆ b iff no AndNot residue.
+		// Subset algebra: a&b ⊆ a, and a ⊆ b iff no a&^b residue.
 		And(dst, a, b)
 		if AndNotAny(dst, a) {
 			t.Fatal("a&b should be subset of a")
@@ -235,19 +210,13 @@ func TestSetSortedAppendIDs(t *testing.T) {
 		words := make([]uint64, Words(n))
 		SetSorted(words, ids)
 
-		got := AppendIDs32(nil, words)
+		got := AppendIDs(nil, words)
 		if len(got) != len(ids) {
-			t.Fatalf("AppendIDs32: got %d ids, want %d", len(got), len(ids))
+			t.Fatalf("AppendIDs: got %d ids, want %d", len(got), len(ids))
 		}
 		for i := range got {
-			if got[i] != ids[i] {
-				t.Fatalf("AppendIDs32[%d] = %d, want %d", i, got[i], ids[i])
-			}
-		}
-		gotInt := AppendIDs(nil, words)
-		for i := range gotInt {
-			if gotInt[i] != int(ids[i]) {
-				t.Fatalf("AppendIDs[%d] = %d, want %d", i, gotInt[i], ids[i])
+			if got[i] != int(ids[i]) {
+				t.Fatalf("AppendIDs[%d] = %d, want %d", i, got[i], ids[i])
 			}
 		}
 		if got := PopcountSum(words); got != len(ids) {
@@ -257,12 +226,9 @@ func TestSetSortedAppendIDs(t *testing.T) {
 }
 
 // naiveGather is the scalar reference for the gather kernels.
-func naiveGather(codes []uint32, ids []int32, only []bool) (sids []int32, groups map[int32][]int32) {
+func naiveGather(codes []uint32, ids []int32) (sids []int32, groups map[int32][]int32) {
 	groups = map[int32][]int32{}
 	for r, code := range codes {
-		if only != nil && !only[r] {
-			continue
-		}
 		sid := ids[code]
 		if sid < 0 {
 			continue
@@ -323,7 +289,7 @@ func TestGatherGroupsCodes(t *testing.T) {
 				}
 			}
 		}
-		wantSids, wantGroups := naiveGather(codes, ids, nil)
+		wantSids, wantGroups := naiveGather(codes, ids)
 
 		GatherGroupsCodes(&g, codes, ids, nil)
 		checkGroups(t, &g, wantSids, wantGroups)
@@ -335,35 +301,6 @@ func TestGatherGroupsCodes(t *testing.T) {
 			weights[c]++
 		}
 		GatherGroupsCodes(&g, codes, ids, weights)
-		checkGroups(t, &g, wantSids, wantGroups)
-	}
-}
-
-func TestGatherGroupsBitmap(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	var g Groups
-	for trial := 0; trial < 60; trial++ {
-		n := rng.Intn(400)
-		distinct := rng.Intn(10) + 1
-		codes := randomCodes(rng, n, distinct)
-		ids := make([]int32, distinct)
-		for i := range ids {
-			if rng.Intn(4) == 0 {
-				ids[i] = -1
-			} else {
-				ids[i] = int32(rng.Intn(distinct))
-			}
-		}
-		only := make([]bool, n)
-		bm := make([]uint64, Words(n))
-		for r := range only {
-			only[r] = rng.Intn(2) == 0
-			if only[r] {
-				bm[r>>6] |= 1 << (uint(r) & 63)
-			}
-		}
-		wantSids, wantGroups := naiveGather(codes, ids, only)
-		GatherGroupsBitmap(&g, bm, codes, ids)
 		checkGroups(t, &g, wantSids, wantGroups)
 	}
 }
@@ -397,7 +334,7 @@ func TestAndMatchBitmapSigned(t *testing.T) {
 		tmp := make([]uint64, Words(n))
 		MatchBitmapSigned(want, codesA, idsA)
 		MatchBitmapSigned(tmp, codesB, idsB)
-		AndInPlace(want, tmp)
+		And(want, want, tmp)
 
 		got := make([]uint64, Words(n))
 		MatchBitmapSigned(got, codesA, idsA)
@@ -456,30 +393,10 @@ func TestGatherGroupsZeroRows(t *testing.T) {
 	if g.Len() != 0 {
 		t.Fatalf("zero-row gather: Len = %d, want 0", g.Len())
 	}
-	GatherGroupsBitmap(&g, nil, nil, []int32{0})
-	if g.Len() != 0 {
-		t.Fatalf("zero-row bitmap gather: Len = %d, want 0", g.Len())
-	}
 	// Zero dictionary too (fresh table with no rows appended).
 	GatherGroupsCodes(&g, nil, nil, nil)
 	if g.Len() != 0 {
 		t.Fatalf("zero-dict gather: Len = %d, want 0", g.Len())
-	}
-}
-
-func TestExpand(t *testing.T) {
-	for _, n := range []int{0, 1, 64, 65, 130} {
-		words := make([]uint64, Words(n))
-		for i := 0; i < n; i += 3 {
-			words[i>>6] |= 1 << (uint(i) & 63)
-		}
-		out := make([]bool, n)
-		Expand(out, words)
-		for r := range out {
-			if out[r] != (r%3 == 0) {
-				t.Fatalf("n=%d: Expand[%d] = %v", n, r, out[r])
-			}
-		}
 	}
 }
 

@@ -52,7 +52,6 @@ func (d *driver) confirm(ctx context.Context, deps []*discovery.Dependency, shar
 		},
 	})
 	support := make([]int64, len(deps))
-	var or []uint64
 	for _, ref := range d.cs.chunks {
 		if err := ctx.Err(); err != nil {
 			eng.Close()
@@ -68,18 +67,7 @@ func (d *driver) confirm(ctx context.Context, deps []*discovery.Dependency, shar
 			return nil, 0, err
 		}
 		for i, p := range pfds {
-			or = or[:0]
-			for ri := range p.Tableau {
-				bm := p.LHSMatchBitmap(t, ri)
-				if len(or) == 0 {
-					or = append(or, bm...)
-					continue
-				}
-				for w := range bm {
-					or[w] |= bm[w]
-				}
-			}
-			support[i] += int64(kernel.PopcountSum(or))
+			support[i] += int64(kernel.PopcountSum(p.LHSMatchBitmap(t)))
 		}
 	}
 	rep := eng.Close()

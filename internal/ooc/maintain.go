@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"pfd/internal/discovery"
-	"pfd/internal/kernel"
 	"pfd/internal/pfd"
 	"pfd/internal/relation"
 )
@@ -73,9 +72,9 @@ func (m *Maintainer) Seed(h RuleHealth) {
 	}
 }
 
-// FoldTable folds one new batch of tuples into every rule's counters:
-// support from the bitset kernels over the batch's dictionary,
-// violations from batch-local consensus checking.
+// FoldTable folds one new batch of tuples into every rule's counters
+// with one Count per rule: support is the batch rows any tableau row's
+// LHS matches, violations come from batch-local consensus checking.
 func (m *Maintainer) FoldTable(t *relation.Table) {
 	type delta struct {
 		support    int64
@@ -87,7 +86,6 @@ func (m *Maintainer) FoldTable(t *relation.Table) {
 	m.mu.Unlock()
 
 	deltas := make([]delta, len(rules))
-	var or []uint64
 	for i, r := range rules {
 		if t.Col(r.p.RHS) < 0 {
 			continue
@@ -102,22 +100,8 @@ func (m *Maintainer) FoldTable(t *relation.Table) {
 		if missing {
 			continue
 		}
-		or = or[:0]
-		for ri := range r.p.Tableau {
-			bm := r.p.LHSMatchBitmap(t, ri)
-			if len(or) == 0 {
-				or = append(or, bm...)
-				continue
-			}
-			for w := range bm {
-				or[w] |= bm[w]
-			}
-		}
-		deltas[i].support = int64(kernel.PopcountSum(or))
-		for ri := range r.p.Tableau {
-			_, v := r.p.CountRow(t, ri)
-			deltas[i].violations += int64(v)
-		}
+		covered, violations := r.p.Count(t)
+		deltas[i].support, deltas[i].violations = int64(covered), int64(violations)
 	}
 
 	m.mu.Lock()

@@ -7,7 +7,6 @@ import (
 
 	"pfd/internal/datagen"
 	"pfd/internal/discovery"
-	"pfd/internal/kernel"
 	"pfd/internal/pfd"
 )
 
@@ -137,9 +136,9 @@ func TestMaintainerSeed(t *testing.T) {
 }
 
 // TestFoldTableCounters pins FoldTable's per-batch accounting on random
-// tables: support is the popcount of the tableau rows' OR-ed LHS match
-// bitmaps and violations the length of the rule's Violations, which
-// FoldTable counts without building them.
+// tables: support is the number of rows the row-at-a-time MatchesLHS
+// accepts under some tableau row, and violations the length of the
+// rule's Violations, which FoldTable counts without building them.
 func TestFoldTableCounters(t *testing.T) {
 	r := rand.New(rand.NewSource(25))
 	for _, id := range []string{"T1", "T5", "T13"} {
@@ -162,17 +161,16 @@ func TestFoldTableCounters(t *testing.T) {
 			}
 			for _, p := range pfds {
 				h := health[embeddedOf(p)]
-				var or []uint64
-				for ri := range p.Tableau {
-					bm := p.LHSMatchBitmap(tb, ri)
-					if or == nil {
-						or = bm
-					}
-					for w := range bm {
-						or[w] |= bm[w]
+				var support int64
+				for id := 0; id < tb.NumRows(); id++ {
+					for ri := range p.Tableau {
+						if p.MatchesLHS(tb, ri, id) {
+							support++
+							break
+						}
 					}
 				}
-				support, violations := int64(kernel.PopcountSum(or)), int64(len(p.Violations(tb)))
+				violations := int64(len(p.Violations(tb)))
 				if h.Support != support || h.Violations != violations {
 					t.Fatalf("%s trial %d rule %s: FoldTable counted support %d, violations %d; want %d, %d",
 						id, trial, h.Embedded, h.Support, h.Violations, support, violations)

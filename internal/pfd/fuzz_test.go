@@ -50,8 +50,8 @@ func FuzzParsePFD(f *testing.F) {
 	})
 }
 
-// FuzzEvalColumnSpans pins the planner's one-pass column bind to its
-// per-cell oracle: over a random dictionary, EvalColumnSpans must equal
+// FuzzEvalColumnSpans pins the one-pass column bind, which the planner
+// and every rule's tableau bind run, to its per-cell oracle: over a random dictionary, EvalColumnSpans must equal
 // EvalCellSpans cell by cell, Sids order included. The cell sets mix
 // constants (the empty constant too), anchored prefixes behind
 // multi-byte rune skips, cells sharing one literal, wildcards and

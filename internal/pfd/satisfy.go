@@ -53,38 +53,17 @@ type SpanEval struct {
 	Sids []string // span id -> span, in first-code order
 }
 
-// EvalCellSpans evaluates cell c over a column dictionary. Every entry
-// is evaluated — including retired ones (no longer held by any row) —
-// so the result depends only on the dictionary contents.
-func EvalCellSpans(c Cell, dict []string) *SpanEval {
-	ev := &SpanEval{Sid: make([]int32, len(dict))}
-	intern := make(map[string]int32, 16)
-	for code, v := range dict {
-		span, ok := c.Span(v)
-		if !ok {
-			ev.Sid[code] = -1
-			continue
-		}
-		sid, seen := intern[span]
-		if !seen {
-			sid = int32(len(ev.Sids))
-			intern[span] = sid
-			ev.Sids = append(ev.Sids, span)
-		}
-		ev.Sid[code] = sid
-	}
-	return ev
-}
-
 // EvalColumnSpans evaluates every cell of cells over one column
 // dictionary in a single pass and returns the evaluations aligned with
-// cells, each equal to EvalCellSpans(cells[i], dict). Cells that anchor
-// a literal (constants, anchored prefixes) are filed in a
-// pattern.AnchorIndex, so a value is confirmed only against the cells
-// whose literal it carries and every other anchored cell keeps Sid -1;
-// the rest (wildcards, class runs, general shapes) are evaluated on
-// every value. Codes are visited in ascending order, so each cell's
-// Sids come out in first-code order, as EvalCellSpans assigns them.
+// cells. Every entry is evaluated — including retired ones (no longer
+// held by any row) — so the result depends only on the dictionary
+// contents. Cells that anchor a literal (constants, anchored prefixes)
+// are filed in a pattern.AnchorIndex, so a value is confirmed only
+// against the cells whose literal it carries and every other anchored
+// cell keeps Sid -1; the rest (wildcards, class runs, general shapes)
+// are evaluated on every value, with no index lookup at all when no
+// cell anchors. Codes are visited in ascending order, so each cell's
+// Sids come out in first-code order.
 func EvalColumnSpans(cells []Cell, dict []string) []*SpanEval {
 	evs := make([]*SpanEval, len(cells))
 	var ix pattern.AnchorIndex
@@ -101,9 +80,14 @@ func EvalColumnSpans(cells []Cell, dict []string) []*SpanEval {
 		}
 	}
 	interns := make([]map[string]int32, len(cells))
-	var cand []int32
+	anchored := len(scan) < len(cells)
+	var buf []int32
 	for code, v := range dict {
-		cand, _ = ix.Lookup(v, append(cand[:0], scan...))
+		cand := scan
+		if anchored {
+			buf, _ = ix.Lookup(v, append(buf[:0], scan...))
+			cand = buf
+		}
 		for _, ci := range cand {
 			ev := evs[ci]
 			span, ok := cells[ci].Span(v)
@@ -140,19 +124,90 @@ func EvalColumnSpans(cells []Cell, dict []string) []*SpanEval {
 	return evs
 }
 
-// evalLHS evaluates every LHS cell of tableau row ri over its column's
-// dictionary, returning the evaluations and code vectors aligned with
-// p.LHS.
-func (p *PFD) evalLHS(t *relation.Table, ri int) ([]*SpanEval, [][]uint32) {
-	row := p.Tableau[ri]
-	evs := make([]*SpanEval, len(p.LHS))
-	codes := make([][]uint32, len(p.LHS))
+// tableauBind is one PFD's tableau evaluated over one table, for one
+// call: the evaluations of every tableau row's LHS cells and, when
+// bound with the RHS, of its RHS cell, with the code vectors they
+// index.
+type tableauBind struct {
+	lhs      [][]*SpanEval // [LHS position][tableau row]
+	rhs      []*SpanEval   // [tableau row]; nil unless bound withRHS
+	codes    [][]uint32    // [LHS position]
+	counts   []int         // live multiplicities of a single-attribute LHS column
+	rhsCodes []uint32
+	nrows    int
+	row      []*SpanEval // scratch for lhsRow
+}
+
+// bind evaluates p's tableau over t — the LHS cells, and the RHS cells
+// when withRHS is set — one attribute at a time: the attribute's
+// distinct tableau cells go to one EvalColumnSpans call, so its
+// dictionary is passed once, not once per tableau row. It is the one
+// cell evaluation behind Violations, Count and LHSMatchBitmap.
+func (p *PFD) bind(t *relation.Table, withRHS bool) *tableauBind {
+	b := &tableauBind{
+		lhs:   make([][]*SpanEval, len(p.LHS)),
+		codes: make([][]uint32, len(p.LHS)),
+		nrows: t.NumRows(),
+		row:   make([]*SpanEval, len(p.LHS)),
+	}
 	for j, a := range p.LHS {
 		ci := t.MustCol(a)
-		evs[j] = EvalCellSpans(row.LHS[j], t.Dict(ci))
-		codes[j] = t.Codes(ci)
+		b.codes[j] = t.Codes(ci)
+		b.lhs[j] = p.bindColumn(t.Dict(ci), func(ri int) Cell { return p.Tableau[ri].LHS[j] })
 	}
-	return evs, codes
+	if len(p.LHS) == 1 {
+		b.counts = t.DictCounts(t.MustCol(p.LHS[0]))
+	}
+	if withRHS {
+		ci := t.MustCol(p.RHS)
+		b.rhsCodes = t.Codes(ci)
+		b.rhs = p.bindColumn(t.Dict(ci), func(ri int) Cell { return p.Tableau[ri].RHS })
+	}
+	return b
+}
+
+// bindColumn evaluates cell(ri) of every tableau row over one column's
+// dictionary in one EvalColumnSpans call, each distinct cell (by
+// rendering) once, and returns the evaluations by tableau row. A
+// one-row tableau has nothing to deduplicate and skips the rendering.
+func (p *PFD) bindColumn(dict []string, cell func(ri int) Cell) []*SpanEval {
+	if len(p.Tableau) == 1 {
+		return EvalColumnSpans([]Cell{cell(0)}, dict)
+	}
+	var cells []Cell
+	at := make([]int, len(p.Tableau))
+	index := make(map[string]int)
+	for ri := range p.Tableau {
+		c := cell(ri)
+		k := c.String()
+		i, ok := index[k]
+		if !ok {
+			i = len(cells)
+			index[k] = i
+			cells = append(cells, c)
+		}
+		at[ri] = i
+	}
+	evs := EvalColumnSpans(cells, dict)
+	out := make([]*SpanEval, len(p.Tableau))
+	for ri, i := range at {
+		out[ri] = evs[i]
+	}
+	return out
+}
+
+// lhsRow returns tableau row ri's LHS evaluations in LHS order. The
+// slice is scratch, valid until the next call.
+func (b *tableauBind) lhsRow(ri int) []*SpanEval {
+	for j := range b.lhs {
+		b.row[j] = b.lhs[j][ri]
+	}
+	return b.row
+}
+
+// partition builds tableau row ri's LHS partition into pt.
+func (b *tableauBind) partition(pt *Partition, ri int) {
+	pt.Build(b.lhsRow(ri), b.codes, b.counts, b.nrows)
 }
 
 // MatchesLHS reports whether table row id matches every LHS cell of
@@ -167,26 +222,22 @@ func (p *PFD) MatchesLHS(t *relation.Table, ri, id int) bool {
 	return true
 }
 
-// LHSMatchBitmap evaluates tableau row ri's LHS once over each
-// column's dictionary and returns the match rows as a kernel bitmap
-// (bit id set iff table row id matches every LHS cell), built by
-// chunk-parallel And-combining of the per-attribute match bitmaps.
-// Popcount it for coverage counts; combine it with index bitsets
-// directly — both share the 64-rows-per-word layout.
-func (p *PFD) LHSMatchBitmap(t *relation.Table, ri int) []uint64 {
-	evs, codes := p.evalLHS(t, ri)
-	words := make([]uint64, kernel.Words(t.NumRows()))
-	andSpanBitmaps(words, evs, codes, t.NumRows())
+// LHSMatchBitmap returns the rows of t that match any tableau row's LHS
+// as a kernel bitmap (bit id set iff table row id matches every LHS
+// cell of some tableau row): the tableau is bound once, and each row's
+// match bitmap, built by chunk-parallel And-combining of the
+// per-attribute match bitmaps, is Or-ed in. Popcount it for coverage
+// counts; combine it with index bitsets directly — both share the
+// 64-rows-per-word layout.
+func (p *PFD) LHSMatchBitmap(t *relation.Table) []uint64 {
+	b := p.bind(t, false)
+	words := make([]uint64, kernel.Words(b.nrows))
+	row := make([]uint64, len(words))
+	for ri := range p.Tableau {
+		andSpanBitmaps(row, b.lhsRow(ri), b.codes, b.nrows)
+		kernel.OrInPlace(words, row)
+	}
 	return words
-}
-
-// LHSMatchRows is LHSMatchBitmap expanded to one bool per table row —
-// the batch counterpart of MatchesLHS for callers that want positional
-// indexing.
-func (p *PFD) LHSMatchRows(t *relation.Table, ri int) []bool {
-	out := make([]bool, t.NumRows())
-	kernel.Expand(out, p.LHSMatchBitmap(t, ri))
-	return out
 }
 
 // Satisfied reports T |= ψ per Section 2.2: for every tableau row, any two
@@ -200,7 +251,7 @@ func (p *PFD) Satisfied(t *relation.Table) bool {
 // Partition is the LHS-equivalence partition of the rows matching one
 // tableau row's LHS: groups of row ids, ascending within each group,
 // with the groups ordered by span key. Build is the one group driver
-// behind Violations, CountRow and the multi-rule planner's executor
+// behind Violations, Count and the multi-rule planner's executor
 // (internal/plan), so they cannot drift apart. The zero value is ready
 // to use; reusing one across builds keeps the scratch off the
 // allocator.
@@ -301,18 +352,6 @@ func (pt *Partition) Rows(i int) []int32 {
 // match every LHS cell.
 func (pt *Partition) Covered() int { return pt.covered }
 
-// partitionRow evaluates tableau row ri over t's dictionaries, builds
-// its LHS partition into pt, and returns the RHS cell's evaluation.
-func (p *PFD) partitionRow(pt *Partition, t *relation.Table, ri, rhsCol int) *SpanEval {
-	evs, codes := p.evalLHS(t, ri)
-	var counts []int
-	if len(p.LHS) == 1 {
-		counts = t.DictCounts(t.MustCol(p.LHS[0]))
-	}
-	pt.Build(evs, codes, counts, t.NumRows())
-	return EvalCellSpans(p.Tableau[ri].RHS, t.Dict(rhsCol))
-}
-
 // Violations enumerates all violations of the PFD on t.
 //
 // The check runs in O(|T|) per tableau row by grouping tuples on their
@@ -323,11 +362,11 @@ func (p *PFD) partitionRow(pt *Partition, t *relation.Table, ri, rhsCol int) *Sp
 // yields one Violation whose ErrorCell is its RHS cell.
 //
 // Pattern matching runs once per (tableau cell, distinct column value):
-// every cell is evaluated over its column's dictionary up front, for
-// this call only, and the rows are grouped by Partition.Build on the
-// internal/kernel scan primitives. Group emission order is sorted by
-// span key and row ids are ascending, so the output is byte-identical
-// at any worker or chunk count.
+// the whole tableau is bound over its columns' dictionaries up front,
+// for this call only, and the rows are grouped by Partition.Build on
+// the internal/kernel scan primitives. Group emission order is sorted
+// by span key and row ids are ascending, so the output is
+// byte-identical at any worker or chunk count.
 //
 // internal/plan drives the same Partition and group check (ScanGroup)
 // with cell evaluations pooled across rules; its per-rule output is
@@ -336,32 +375,46 @@ func (p *PFD) Violations(t *relation.Table) []Violation {
 	var out []Violation
 	var pt Partition
 	var scan GroupScan
-	rhsCol := t.MustCol(p.RHS)
-	rhsCodes := t.Codes(rhsCol)
+	b := p.bind(t, true)
 	for ri, row := range p.Tableau {
-		rhsEv := p.partitionRow(&pt, t, ri, rhsCol)
+		b.partition(&pt, ri)
 		constant := row.ConstantLHS()
 		for gi := 0; gi < pt.Len(); gi++ {
-			out = append(out, p.groupViolations(&scan, ri, row, pt.Rows(gi), constant, rhsCodes, rhsEv)...)
+			out = append(out, p.groupViolations(&scan, ri, row, pt.Rows(gi), constant, b.rhsCodes, b.rhs[ri])...)
 		}
 	}
 	return out
 }
 
-// CountRow returns how many rows of t match tableau row ri's LHS and
-// how many violations that row yields — the length of ri's block in
-// Violations — from one partition pass that materializes no Violation.
-func (p *PFD) CountRow(t *relation.Table, ri int) (covered, violations int) {
+// Count returns how many rows of t match any tableau row's LHS and how
+// many violations the PFD has on t — len(Violations(t)) — from one
+// bind and one partition pass per tableau row, materializing no
+// Violation.
+func (p *PFD) Count(t *relation.Table) (covered, violations int) {
 	var pt Partition
 	var scan GroupScan
-	rhsCol := t.MustCol(p.RHS)
-	rhsCodes := t.Codes(rhsCol)
-	rhsEv := p.partitionRow(&pt, t, ri, rhsCol)
-	constant := p.Tableau[ri].ConstantLHS()
-	for gi := 0; gi < pt.Len(); gi++ {
-		violations += scan.check(pt.Rows(gi), constant, rhsCodes, rhsEv)
+	b := p.bind(t, true)
+	// A row matching several tableau rows' LHS is covered once.
+	var seen []uint64
+	if len(p.Tableau) > 1 {
+		seen = make([]uint64, kernel.Words(b.nrows))
 	}
-	return pt.Covered(), violations
+	for ri, row := range p.Tableau {
+		b.partition(&pt, ri)
+		constant := row.ConstantLHS()
+		for gi := 0; gi < pt.Len(); gi++ {
+			ids := pt.Rows(gi)
+			violations += scan.check(ids, constant, b.rhsCodes, b.rhs[ri])
+			if seen != nil {
+				kernel.SetSorted(seen, ids)
+			}
+		}
+		covered += pt.Covered()
+	}
+	if seen != nil {
+		covered = kernel.PopcountSum(seen)
+	}
+	return covered, violations
 }
 
 // GroupScan is the reusable state for checking one LHS-equivalence
@@ -439,7 +492,7 @@ func (p *PFD) ScanGroup(sc *GroupScan, ri int, ids []int32, constant bool, rhsCo
 // (the per-tuple RHS verdict comes from the precomputed dictionary
 // evaluation), finds the strict-majority span, and returns how many
 // violations the group yields. groupViolations materializes exactly
-// that many from the state check leaves in sc; CountRow stops here.
+// that many from the state check leaves in sc; Count stops here.
 func (sc *GroupScan) check(ids []int32, constant bool, rhsCodes []uint32, rhsEv *SpanEval) int {
 	sc.reset(len(rhsEv.Sids))
 	for _, id := range ids {

@@ -11,12 +11,37 @@ import (
 	"pfd/internal/relation"
 )
 
+// EvalCellSpans is the per-cell oracle for EvalColumnSpans and the
+// tableau bind: it evaluates cell c over a column dictionary by calling
+// c.Span on every entry, with no anchor index and no sharing across
+// cells.
+func EvalCellSpans(c Cell, dict []string) *SpanEval {
+	ev := &SpanEval{Sid: make([]int32, len(dict))}
+	intern := make(map[string]int32, 16)
+	for code, v := range dict {
+		span, ok := c.Span(v)
+		if !ok {
+			ev.Sid[code] = -1
+			continue
+		}
+		sid, seen := intern[span]
+		if !seen {
+			sid = int32(len(ev.Sids))
+			intern[span] = sid
+			ev.Sids = append(ev.Sids, span)
+		}
+		ev.Sid[code] = sid
+	}
+	return ev
+}
+
 // violationsScalar is the retained scalar reference for Violations: the
 // pre-kernel row-at-a-time scan (per-row branch on the span id, group
-// discovery in first-seen order, per-group slice appends). It shares
-// groupViolations with the kernel path — the group-check semantics are
-// not under test here — so any divergence is in the scan/grouping the
-// kernels replaced.
+// discovery in first-seen order, per-group slice appends) over per-cell
+// EvalCellSpans evaluations, so it shares nothing with the tableau
+// bind. It shares groupViolations with the kernel path — the
+// group-check semantics are not under test here — so any divergence is
+// in the bind or the scan/grouping the kernels replaced.
 func violationsScalar(p *PFD, t *relation.Table) []Violation {
 	var out []Violation
 	var keyBuf []byte
@@ -29,7 +54,12 @@ func violationsScalar(p *PFD, t *relation.Table) []Violation {
 	rhsCodes := t.Codes(rhsCol)
 	for ri, row := range p.Tableau {
 		constant := row.ConstantLHS()
-		lhsEvs, lhsCodes := p.evalLHS(t, ri)
+		lhsEvs := make([]*SpanEval, len(p.LHS))
+		lhsCodes := make([][]uint32, len(p.LHS))
+		for j, a := range p.LHS {
+			ci := t.MustCol(a)
+			lhsEvs[j], lhsCodes[j] = EvalCellSpans(row.LHS[j], t.Dict(ci)), t.Codes(ci)
+		}
 		rhsEv := EvalCellSpans(row.RHS, t.Dict(rhsCol))
 		keys = keys[:0]
 		groupIDs = groupIDs[:0]
@@ -94,7 +124,11 @@ func violationsScalar(p *PFD, t *relation.Table) []Violation {
 
 // randomWidePFDTable builds a random table over three columns and a PFD
 // with one or two LHS attributes, exercising both the span-id gather
-// path and the bitmap multi-LHS path.
+// path and the bitmap multi-LHS path. Its tableau has 1–4 rows whose
+// LHS cells mix wildcards, constants drawn from the column's values,
+// anchored prefixes (pairs sharing the literal 900 or A, one behind a
+// rune skip) and unanchored shapes, so rows of one rule share cells
+// and literals in the whole-tableau bind.
 func randomWidePFDTable(r *rand.Rand, nrows int) (*PFD, *relation.Table) {
 	t := relation.New("T", "a", "b", "c")
 	zips := []string{"90001", "90002", "60601", "60602", "10001", "XYZ", ""}
@@ -103,12 +137,21 @@ func randomWidePFDTable(r *rand.Rand, nrows int) (*PFD, *relation.Table) {
 	for i := 0; i < nrows; i++ {
 		t.Append(zips[r.Intn(len(zips))], codes[r.Intn(len(codes))], cities[r.Intn(len(cities))])
 	}
-	pats := []string{`(\D{3})\D{2}`, `(900)\D{2}`, `(\D{2})\D*`, `(\A+)`, `(\LU{2})\D*`}
-	lhsCell := func() Cell {
-		if r.Intn(4) == 0 {
+	values := map[string][]string{"a": zips, "b": codes}
+	pats := []string{
+		`(\D{3})\D{2}`, `(\D{2})\D*`, `(\A+)`, `(\LU{2})\D*`, `(900)\D{2}`, // unanchored
+		`(900)\A*`, `900\A*`, `(A)\A*`, `A\A*`, `(AB)\A*`, `\A{2}(0)\A*`, // anchored
+	}
+	lhsCell := func(attr string) Cell {
+		switch r.Intn(5) {
+		case 0:
 			return Wildcard()
+		case 1:
+			vs := values[attr]
+			return Pat(pattern.Constant(vs[r.Intn(len(vs))]))
+		default:
+			return Pat(pattern.MustParse(pats[r.Intn(len(pats))]))
 		}
-		return Pat(pattern.MustParse(pats[r.Intn(len(pats))]))
 	}
 	rhsCell := func() Cell {
 		switch r.Intn(3) {
@@ -126,10 +169,10 @@ func randomWidePFDTable(r *rand.Rand, nrows int) (*PFD, *relation.Table) {
 		lhsAttrs = []string{"a", "b"}
 	}
 	var rows []Row
-	for k := 0; k < 1+r.Intn(2); k++ {
+	for k := 0; k < 1+r.Intn(4); k++ {
 		lhs := make([]Cell, len(lhsAttrs))
-		for j := range lhs {
-			lhs[j] = lhsCell()
+		for j, a := range lhsAttrs {
+			lhs[j] = lhsCell(a)
 		}
 		rows = append(rows, Row{LHS: lhs, RHS: rhsCell()})
 	}
@@ -182,46 +225,66 @@ func TestViolationsChunkParallelDeterministic(t *testing.T) {
 	}
 }
 
-// TestLHSMatchRowsMatchesScalar pins the bitmap LHS matcher to the
-// per-row definition.
-func TestLHSMatchRowsMatchesScalar(t *testing.T) {
+// coveredScalar returns, per table row, whether it matches any tableau
+// row's LHS by the row-at-a-time MatchesLHS.
+func coveredScalar(p *PFD, t *relation.Table) []bool {
+	out := make([]bool, t.NumRows())
+	for id := range out {
+		for ri := range p.Tableau {
+			if p.MatchesLHS(t, ri, id) {
+				out[id] = true
+				break
+			}
+		}
+	}
+	return out
+}
+
+// TestLHSMatchBitmapMatchesScalar pins the tableau's union LHS match
+// bitmap to the per-row definition.
+func TestLHSMatchBitmapMatchesScalar(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 200; trial++ {
 		p, tb := randomWidePFDTable(r, r.Intn(130))
-		got := p.LHSMatchRows(tb, 0)
-		if len(got) != tb.NumRows() {
-			t.Fatalf("trial %d: %d rows, want %d", trial, len(got), tb.NumRows())
+		got := p.LHSMatchBitmap(tb)
+		if len(got) != kernel.Words(tb.NumRows()) {
+			t.Fatalf("trial %d: %d words for %d rows", trial, len(got), tb.NumRows())
 		}
-		for id := range got {
-			if got[id] != p.MatchesLHS(tb, 0, id) {
-				t.Fatalf("trial %d row %d: bitmap=%v scalar=%v (pfd=%s)",
-					trial, id, got[id], !got[id], p)
+		covered := 0
+		for id, want := range coveredScalar(p, tb) {
+			if bit := got[id/kernel.WordBits]>>(id%kernel.WordBits)&1 == 1; bit != want {
+				t.Fatalf("trial %d row %d: bitmap=%v scalar=%v (pfd=%s)", trial, id, bit, want, p)
 			}
+			if want {
+				covered++
+			}
+		}
+		if n := kernel.PopcountSum(got); n != covered {
+			t.Fatalf("trial %d: %d bits set, %d rows covered (pfd=%s)", trial, n, covered, p)
 		}
 	}
 }
 
-// TestCountRowMatchesViolations pins CountRow, the count-only pass
-// discovery's generalize step validates with, to the full scan: its
-// coverage is the LHS match bitmap's popcount and its violation count
-// the length of the tableau row's block in Violations.
-func TestCountRowMatchesViolations(t *testing.T) {
+// TestCountMatchesScalar pins Count, the count-only pass discovery's
+// generalize step validates with, to references that share no code
+// with it: its coverage is the number of rows MatchesLHS accepts under
+// some tableau row, and its violation count the length of the scalar
+// reference's Violations.
+func TestCountMatchesScalar(t *testing.T) {
 	r := rand.New(rand.NewSource(44))
 	for trial := 0; trial < 300; trial++ {
 		p, tb := randomWidePFDTable(r, r.Intn(130))
-		perRow := make([]int, len(p.Tableau))
-		for _, v := range p.Violations(tb) {
-			perRow[v.TableauRow]++
+		wantCovered := 0
+		for _, ok := range coveredScalar(p, tb) {
+			if ok {
+				wantCovered++
+			}
 		}
-		for ri := range p.Tableau {
-			covered, violations := p.CountRow(tb, ri)
-			if want := kernel.PopcountSum(p.LHSMatchBitmap(tb, ri)); covered != want {
-				t.Fatalf("trial %d row %d: covered %d, bitmap popcount %d (pfd=%s)", trial, ri, covered, want, p)
-			}
-			if violations != perRow[ri] {
-				t.Fatalf("trial %d row %d: counted %d violations, Violations has %d (pfd=%s)",
-					trial, ri, violations, perRow[ri], p)
-			}
+		wantViolations := len(violationsScalar(p, tb))
+		covered, violations := p.Count(tb)
+		if covered != wantCovered || violations != wantViolations {
+			t.Fatalf("trial %d: Count = (%d, %d), scalar (%d, %d) (pfd=%s)",
+				trial, covered, violations, wantCovered, wantViolations, p)
 		}
 	}
 }

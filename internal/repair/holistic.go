@@ -41,8 +41,9 @@ func Holistic(t *relation.Table, pfds []*pfd.PFD, opt HolisticOptions) HolisticR
 }
 
 // HolisticContext is Holistic with cancellation: the context is
-// observed between detect-repair rounds. On cancellation it returns
-// the repairs applied so far together with ctx.Err(); the Table field
+// observed between detect-repair rounds and, inside each detection,
+// between the planner's LHS groups. On cancellation it returns the
+// repairs applied so far together with ctx.Err(); the Table field
 // holds the partially repaired copy.
 func HolisticContext(ctx context.Context, t *relation.Table, pfds []*pfd.PFD, opt HolisticOptions) (HolisticResult, error) {
 	if opt.MaxRounds <= 0 {
@@ -56,7 +57,11 @@ func HolisticContext(ctx context.Context, t *relation.Table, pfds []*pfd.PFD, op
 			res.Table = cur
 			return res, err
 		}
-		findings := Detect(cur, pfds)
+		findings, err := DetectContextOptions(ctx, cur, pfds, Options{})
+		if err != nil {
+			res.Table = cur
+			return res, err
+		}
 		applicable := findings[:0:0]
 		for _, f := range findings {
 			if f.Proposed == "" || f.Proposed == f.Observed {
@@ -83,7 +88,12 @@ func HolisticContext(ctx context.Context, t *relation.Table, pfds []*pfd.PFD, op
 		res.Remaining = nil
 	}
 	if res.Remaining == nil {
-		res.Remaining = Detect(cur, pfds)
+		remaining, err := DetectContextOptions(ctx, cur, pfds, Options{})
+		if err != nil {
+			res.Table = cur
+			return res, err
+		}
+		res.Remaining = remaining
 	}
 	res.Table = cur
 	return res, nil

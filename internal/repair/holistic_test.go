@@ -1,6 +1,9 @@
 package repair
 
 import (
+	"context"
+	"errors"
+	"sync/atomic"
 	"testing"
 
 	"pfd/internal/pattern"
@@ -103,5 +106,43 @@ func TestHolisticCleanTableNoop(t *testing.T) {
 	res := Holistic(tb, chainPFDs(), HolisticOptions{})
 	if res.Repaired != 0 || res.Rounds != 0 {
 		t.Errorf("clean table repaired: %+v", res)
+	}
+}
+
+// errAfterFirst is a context whose Err is nil on its first call and
+// context.Canceled on every later one: it passes HolisticContext's
+// round-start check, so only a check inside the round's detection can
+// see the cancellation. The planner's workers call Err concurrently.
+type errAfterFirst struct {
+	context.Context
+	calls atomic.Int64
+}
+
+func (c *errAfterFirst) Err() error {
+	if c.calls.Add(1) == 1 {
+		return nil
+	}
+	return context.Canceled
+}
+
+// TestHolisticCancelInsideDetection pins that HolisticContext detects
+// under its own context: a cancellation that arrives after the round
+// starts stops the round's detection, and the call returns the
+// unrepaired copy with the context error.
+func TestHolisticCancelInsideDetection(t *testing.T) {
+	in := chainTable()
+	ctx := &errAfterFirst{Context: context.Background()}
+	res, err := HolisticContext(ctx, in, chainPFDs(), HolisticOptions{})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if res.Rounds != 0 || res.Repaired != 0 || res.Table == nil {
+		t.Fatalf("canceled in round 1's detection: rounds %d, repaired %d, table returned %v", res.Rounds, res.Repaired, res.Table != nil)
+	}
+	if got := res.Table.Value(3, "city"); got != "Chicago" {
+		t.Fatalf("row 3 city = %q, want the unrepaired Chicago", got)
+	}
+	if n := ctx.calls.Load(); n < 2 {
+		t.Fatalf("Err called %d times: detection never observed the context", n)
 	}
 }

@@ -8,10 +8,7 @@ package repair
 
 import (
 	"context"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"pfd/internal/pfd"
 	"pfd/internal/plan"
@@ -45,112 +42,70 @@ func Detect(t *relation.Table, pfds []*pfd.PFD) []Finding {
 	return fs
 }
 
-// detectWorkers is the Violations worker-pool width (the discovery
-// pool's pattern: atomic claim counter, GOMAXPROCS workers). A variable
-// so tests can pin it.
-var detectWorkers = runtime.GOMAXPROCS(0)
-
 // Options tunes DetectContextOptions.
 type Options struct {
-	// Progress, when non-nil, is invoked after each PFD's scan with the
-	// number done and the total (serialized).
+	// Progress, when non-nil, is invoked once per PFD, in pfds order,
+	// with the number done and the total: after the planner's run, or
+	// after each PFD's scan under NoPlanner.
 	Progress func(done, total int)
-	// NoPlanner forces independent per-rule evaluation, bypassing the
-	// shared-evaluation planner — the escape hatch (and the
-	// differential baseline) for the planned path.
+	// NoPlanner evaluates each PFD on its own with (*pfd.PFD).Violations,
+	// one after another, bypassing the shared-evaluation planner — the
+	// differential baseline for the planned path.
 	NoPlanner bool
 }
 
 // DetectContext is Detect with cancellation and per-PFD progress: the
-// context is observed between scan units, and onPFD, when non-nil, is
-// invoked after each PFD with the number done and the total
-// (serialized — safe for plain progress counters). On cancellation it
-// returns nil findings and ctx.Err() — partial detection output is
-// never useful, because the dedup across PFDs has not run to
-// completion.
+// context is observed between the planner's LHS groups, and onPFD,
+// when non-nil, is invoked once per PFD with the number done and the
+// total. On cancellation it returns nil findings and ctx.Err() —
+// partial detection output is never useful, because the dedup across
+// PFDs has not run to completion.
 func DetectContext(ctx context.Context, t *relation.Table, pfds []*pfd.PFD, onPFD func(done, total int)) ([]Finding, error) {
 	return DetectContextOptions(ctx, t, pfds, Options{Progress: onPFD})
 }
 
 // DetectContextOptions is DetectContext with explicit options.
 //
-// Multi-rule detection runs through the shared-evaluation planner
-// (internal/plan), compiled for this call and dropped when it returns:
-// identical tableau cells across rules are evaluated once, shared LHS
-// groups are gathered once and fanned out to every member rule, and
-// provably zero-match rules are skipped. The planner is pinned
-// byte-identical to independent evaluation (its per-rule violation
-// slices are exactly what each PFD's own Violations returns), so the
-// dedup fold below sees the same input either way. Single-rule calls
-// and NoPlanner take the independent worker-pool path: each PFD's scan
-// is independent (read-only table, call-local evaluations), and the
-// dedup fold consumes the per-PFD results strictly in pfds order, so
-// the findings are identical to a sequential run at any worker count.
+// Detection runs through the shared-evaluation planner (internal/plan)
+// at any rule count, compiled for this call and dropped when it
+// returns: identical tableau cells across rules are evaluated once,
+// shared LHS groups are gathered once and fanned out to every member
+// rule, and provably zero-match rules are skipped. The planner is
+// pinned byte-identical to independent evaluation (its per-rule
+// violation slices are exactly what each PFD's own Violations
+// returns), so the dedup fold below sees the same input under
+// NoPlanner, which observes the context between PFDs instead.
 func DetectContextOptions(ctx context.Context, t *relation.Table, pfds []*pfd.PFD, opts Options) ([]Finding, error) {
-	onPFD := opts.Progress
 	var violations [][]pfd.Violation
-	if !opts.NoPlanner && len(pfds) >= 2 {
-		vs, err := plan.New(pfds).ViolationsContext(ctx, t)
-		if err != nil {
-			return nil, err
-		}
-		violations = vs
-		if onPFD != nil {
-			for pi := range pfds {
-				onPFD(pi+1, len(pfds))
-			}
-		}
-		return foldFindings(t, pfds, violations), nil
-	}
-
-	violations = make([][]pfd.Violation, len(pfds))
-	workers := detectWorkers
-	if workers > len(pfds) {
-		workers = len(pfds)
-	}
-	if workers <= 1 {
+	if opts.NoPlanner {
+		violations = make([][]pfd.Violation, len(pfds))
 		for pi, p := range pfds {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 			violations[pi] = p.Violations(t)
-			if onPFD != nil {
-				onPFD(pi+1, len(pfds))
+			if opts.Progress != nil {
+				opts.Progress(pi+1, len(pfds))
 			}
 		}
 	} else {
-		var next, done atomic.Int64
-		var progressMu sync.Mutex
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					pi := int(next.Add(1)) - 1
-					if pi >= len(pfds) || ctx.Err() != nil {
-						return
-					}
-					violations[pi] = pfds[pi].Violations(t)
-					d := int(done.Add(1))
-					if onPFD != nil {
-						progressMu.Lock()
-						onPFD(d, len(pfds))
-						progressMu.Unlock()
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
+		vs, err := plan.New(pfds).ViolationsContext(ctx, t)
+		if err != nil {
 			return nil, err
+		}
+		violations = vs
+		if opts.Progress != nil {
+			for pi := range pfds {
+				opts.Progress(pi+1, len(pfds))
+			}
 		}
 	}
 	return foldFindings(t, pfds, violations), nil
 }
 
 // foldFindings is the dedup fold, strictly in pfds order — the
-// order-sensitive step that keeps parallel detection deterministic.
+// order-sensitive step that makes the findings independent of how the
+// violations were scheduled.
 func foldFindings(t *relation.Table, pfds []*pfd.PFD, violations [][]pfd.Violation) []Finding {
 	byCell := map[relation.Cell]Finding{}
 	for pi, p := range pfds {

@@ -122,61 +122,26 @@ func TestScore(t *testing.T) {
 	}
 }
 
-// TestDetectParallelDeterministic pins parallel detection identical to
-// sequential: many PFDs (some flagging the same cell, exercising the
-// order-sensitive dedup), compared across worker counts.
-func TestDetectParallelDeterministic(t *testing.T) {
-	tb := relation.New("Zip", "zip", "city")
-	zips := []string{"90001", "90002", "60601", "60602", "10001"}
-	consensus := []string{"Los Angeles", "Los Angeles", "Chicago", "Chicago", "New York"}
-	for i := 0; i < 500; i++ {
-		city := consensus[i%5]
-		if i%17 == 0 { // seeded minority errors in every group
-			city = "Springfield"
-		}
-		tb.Append(zips[i%5], city)
-	}
-	var pfds []*pfd.PFD
-	for _, pat := range []string{`(900)\D{2}`, `(\D{3})\D{2}`, `(\D{2})\D*`, `(606)\D{2}`} {
-		pfds = append(pfds, pfd.MustNew("Zip", []string{"zip"}, "city",
-			pfd.Row{LHS: []pfd.Cell{pfd.Pat(pattern.MustParse(pat))}, RHS: pfd.Wildcard()},
-		))
-	}
-	defer func(w int) { detectWorkers = w }(detectWorkers)
-	detectWorkers = 1
-	seq := Detect(tb, pfds)
-	if len(seq) == 0 {
-		t.Fatal("fixture produced no findings")
-	}
-	for _, w := range []int{2, 4, 8} {
-		detectWorkers = w
-		par := Detect(tb, pfds)
-		if len(par) != len(seq) {
-			t.Fatalf("workers=%d: %d findings, want %d", w, len(par), len(seq))
-		}
-		for i := range par {
-			if par[i].Cell != seq[i].Cell || par[i].Proposed != seq[i].Proposed ||
-				par[i].By != seq[i].By || par[i].TableauRow != seq[i].TableauRow {
-				t.Fatalf("workers=%d finding %d diverges: %+v vs %+v", w, i, par[i], seq[i])
+// TestDetectContextCancel pins the cancellation contract on the
+// planner and under NoPlanner, for one rule and for two: nil findings
+// plus the context error.
+func TestDetectContextCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, pfds := range [][]*pfd.PFD{{varPFD()}, {constPFD(), varPFD()}} {
+		for _, noPlanner := range []bool{false, true} {
+			fs, err := DetectContextOptions(ctx, zipTable(), pfds, Options{NoPlanner: noPlanner})
+			if err == nil || fs != nil {
+				t.Fatalf("%d rules, NoPlanner %v: canceled detection = (%v, %v), want (nil, error)",
+					len(pfds), noPlanner, fs, err)
 			}
 		}
 	}
 }
 
-// TestDetectContextCancel pins the cancellation contract under the
-// worker pool: nil findings plus the context error.
-func TestDetectContextCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	fs, err := DetectContext(ctx, zipTable(), []*pfd.PFD{constPFD(), varPFD()}, nil)
-	if err == nil || fs != nil {
-		t.Fatalf("canceled DetectContext = (%v, %v), want (nil, error)", fs, err)
-	}
-}
-
 // TestDetectPlannedMatchesIndependent pins the planner path (the
-// default for multi-rule detection) to the NoPlanner worker-pool path
-// on a workload with overlapping rules, a duplicate-cell rule, and a
+// default at any rule count) to the NoPlanner per-rule loop on a
+// workload with overlapping rules, a duplicate-cell rule, and a
 // rule whose constant LHS matches nothing.
 func TestDetectPlannedMatchesIndependent(t *testing.T) {
 	tb := zipTable()
@@ -197,6 +162,20 @@ func TestDetectPlannedMatchesIndependent(t *testing.T) {
 	}
 	if len(planned) == 0 {
 		t.Fatal("test premise broken: expected findings")
+	}
+	for _, p := range pfds {
+		one := []*pfd.PFD{p}
+		planned, err := DetectContextOptions(ctx, tb, one, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		naive, err := DetectContextOptions(ctx, tb, one, Options{NoPlanner: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(planned, naive) {
+			t.Fatalf("single-rule detection of %s diverges:\nplanned %+v\nnaive   %+v", p, planned, naive)
+		}
 	}
 }
 

@@ -85,15 +85,16 @@ func newDetectConfig(opts []DetectOption) detectConfig {
 	return cfg
 }
 
-// WithDetectProgress registers a callback invoked after each PFD's
-// violation pass (detection's unit of work), with the number done and
-// the total.
+// WithDetectProgress registers a callback invoked once per PFD, in
+// order, with the number done and the total: after the planner's run
+// has produced every PFD's violations, or after each PFD's own
+// violation pass under WithoutSharedPlan.
 func WithDetectProgress(fn func(pfdsDone, pfdsTotal int)) DetectOption {
 	return func(c *detectConfig) { c.progress = fn }
 }
 
-// WithoutSharedPlan forces independent per-rule evaluation, bypassing
-// the multi-rule shared-evaluation planner. The planner is pinned
+// WithoutSharedPlan forces independent per-rule evaluation, one PFD
+// after another, bypassing the shared-evaluation planner. The planner is pinned
 // byte-identical to the independent path, so this only trades speed
 // for isolation — the escape hatch when a planner defect is suspected,
 // and the baseline the differential suite compares against.
