@@ -160,7 +160,9 @@ func (d *Detection) Repair() (*Table, int) { return repair.Apply(d.table, d.find
 // erroneous cell, each with a proposed, explainable repair when the
 // violated constraint pins one. Cancellation is observed during
 // materialization and between the planner's LHS groups (between PFDs
-// under WithoutSharedPlan), and surfaces as a *CanceledError.
+// under WithoutSharedPlan), and surfaces as a *CanceledError. A PFD
+// naming a column the input lacks fails the call with a
+// *MissingColumnError before anything is evaluated.
 func Detect(ctx context.Context, src Source, pfds []*PFD, opts ...DetectOption) (*Detection, error) {
 	cfg := newDetectConfig(opts)
 	t, err := source.Materialize(ctx, src)
@@ -203,7 +205,8 @@ func (r *RepairResult) AllRemaining() iter.Seq[Finding] { return seqOf(r.holisti
 // until no proposable repair remains (chained errors such as a wrong
 // zip masking a wrong city need more than one pass). Cancellation is
 // observed between rounds and inside each round's detection, and
-// surfaces as a *CanceledError.
+// surfaces as a *CanceledError. A PFD naming a column the input lacks
+// fails the call with a *MissingColumnError, as in Detect.
 func RepairToFixpoint(ctx context.Context, src Source, pfds []*PFD, opts ...RepairOption) (*RepairResult, error) {
 	cfg := newRepairConfig(opts)
 	t, err := source.Materialize(ctx, src)

@@ -341,6 +341,28 @@ func TestValidateSourceParseError(t *testing.T) {
 	}
 }
 
+// TestDetectMissingColumn requires batch detection and repair to
+// refuse a rule naming a column the input lacks with the typed
+// *MissingColumnError, on the planner and without it.
+func TestDetectMissingColumn(t *testing.T) {
+	rule := pfd.MustParsePFD(`d([zip = (900)\D{2}] -> [state = _])`)
+	src := func() pfd.Source {
+		return pfd.FromCSV("d", strings.NewReader("zip,city\n90001,Los Angeles\n90002,Los Angeles\n90003,Los Angeles\n"))
+	}
+	for _, opts := range [][]pfd.DetectOption{nil, {pfd.WithoutSharedPlan()}} {
+		_, err := pfd.Detect(context.Background(), src(), []*pfd.PFD{rule}, opts...)
+		var mce *pfd.MissingColumnError
+		if !errors.As(err, &mce) || mce.Column != "state" {
+			t.Fatalf("Detect err = %v, want *MissingColumnError for state", err)
+		}
+	}
+	_, err := pfd.RepairToFixpoint(context.Background(), src(), []*pfd.PFD{rule})
+	var mce *pfd.MissingColumnError
+	if !errors.As(err, &mce) || mce.Column != "state" {
+		t.Fatalf("RepairToFixpoint err = %v, want *MissingColumnError for state", err)
+	}
+}
+
 // TestValidateMissingColumn requires a tuple lacking a referenced
 // column to surface as the typed *MissingColumnError.
 func TestValidateMissingColumn(t *testing.T) {

@@ -221,7 +221,8 @@ func BenchmarkAblationSupport(b *testing.B) {
 // Micro-benchmarks for the hot substrate paths. All report allocations:
 // the compiled matchers (internal/pattern/compile.go) are pinned to zero
 // steady-state allocs by regression tests, and these benchmarks keep the
-// perf trajectory visible (see BENCH_PR1.json via cmd/pfdbench -exp bench).
+// perf trajectory visible (cmd/pfdbench -exp bench writes BENCH_PR9.json,
+// the CI gate's baseline; earlier snapshots' numbers are in CHANGES.md).
 
 func BenchmarkPatternMatch(b *testing.B) {
 	p := pattern.MustParse(`(\LU\LL*\ )\A*`)

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	benchdiff -old BENCH_PR8.json -new BENCH_CI.json \
+//	benchdiff -old BENCH_PR9.json -new BENCH_CI.json \
 //	          [-max-ratio 2.0] [-match pattern/,pfd/,plan/,repair/,discovery/Discover/T13,stream/] \
 //	          [-max-alloc-ratio 2.0] [-alloc-match pattern/,pfd/,repair/]
 //

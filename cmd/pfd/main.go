@@ -28,12 +28,14 @@
 //
 // All subcommands run on the v2 API: input flows through a pfd.Source,
 // and SIGINT cancels the run cleanly (discovery stops at the next
-// candidate, exit status 1 with a canceled message).
+// candidate, exit status 1 with a canceled message). A ruleset naming a
+// column the input lacks is refused before detection with exit status 2.
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -427,6 +429,13 @@ func printPlan(rules *pfd.Ruleset) {
 
 func detect(ctx context.Context, table *pfd.Table, rules *pfd.Ruleset) *pfd.Detection {
 	det, err := rules.Detect(ctx, pfd.FromTable(table))
+	var missing *pfd.MissingColumnError
+	if errors.As(err, &missing) {
+		// The rules do not fit the input: a usage error, like a bad
+		// flag. The error text already starts with "pfd:".
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	if err != nil {
 		fatal(err)
 	}

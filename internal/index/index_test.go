@@ -304,10 +304,11 @@ func TestCountWithinIntoReuse(t *testing.T) {
 	}
 }
 
-// TestGramGenerationMatchesNGrams guards buildAttr's in-place prefix
-// gram generation against relation.NGrams, the documented
-// specification of the gram set — the inline copy exists only to skip
-// the intermediate []string, and must never diverge.
+// TestGramGenerationMatchesNGrams guards the n-gram key pass (gramKeys:
+// sorted runs of the rune-normalized dictionary, keys cut from the
+// values themselves) against relation.NGrams, the documented
+// specification of the gram set — invalid UTF-8 included, whose bad
+// bytes read as U+FFFD.
 func TestGramGenerationMatchesNGrams(t *testing.T) {
 	vals := []string{"90012", "José", "a", "\xff9", "90012", "ab"}
 	tb := relation.New("T", "c")

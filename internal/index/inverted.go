@@ -1,8 +1,11 @@
 package index
 
 import (
+	"math"
+	"slices"
 	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"pfd/internal/relation"
 )
@@ -76,136 +79,297 @@ func Build(t *relation.Table, profiles []relation.ColumnProfile, cols []string, 
 	return inv
 }
 
-// keysForDict extracts the partial-value keys of every live dictionary
-// entry, per the column's profile: tokens at separator boundaries plus
-// the whole value, or anchored prefix grams. Extraction runs once per
-// distinct value; within one value the keys are pairwise distinct
-// (token offsets differ, n-gram lengths differ, and the whole value is
-// added only when no single token already equals it), so each row
-// contributes each of its value's keys exactly once.
-func keysForDict(dict []string, counts []int, prof relation.ColumnProfile, opt Options) [][]Key {
-	keysByCode := make([][]Key, len(dict))
+// keySet is the outcome of a column's key pass: the keys whose
+// support reaches MinIDs, their supports, and for every dictionary code
+// the slots of the surviving keys its value carries (slots[start[c]:
+// start[c+1]]). No key below MinIDs is ever in keys.
+type keySet struct {
+	keys    []Key
+	support []int32
+	start   []int32
+	slots   []int32
+}
+
+// survives reports whether a key of support s is kept.
+func (opt Options) survives(s int64) bool { return opt.MinIDs <= 0 || s >= int64(opt.MinIDs) }
+
+// surviveKeys computes the surviving partial-value keys of one column
+// from its dictionary alone, per the column's profile: tokens at
+// separator boundaries plus the whole value, or anchored prefix grams.
+// A key's support is the sum of the live counts of the distinct values
+// carrying it (each row contributes each of its value's keys once).
+// Values are normalized rune by rune, so in an invalid UTF-8 value each
+// bad byte reads as U+FFFD, except in a token column's whole-value key,
+// which keeps the raw value.
+func surviveKeys(dict []string, counts []int, prof relation.ColumnProfile, opt Options) keySet {
+	if prof.Mode == relation.ModeTokenize {
+		return tokenKeys(dict, counts, opt)
+	}
+	return gramKeys(dict, counts, opt)
+}
+
+// gramKeys finds the surviving anchored prefix grams. With the live
+// values sorted by their normalized form, the values carrying a prefix
+// form one contiguous run, so its support is a difference of prefix
+// sums. One stack walk over the neighbours' longest common prefixes
+// (in runes, capped at MaxGram) visits every prefix once as a run; the
+// stack holds, per open run start, the range of prefix lengths still
+// open there. Only a run reaching MinIDs gets a key string, and that
+// string is a prefix of the normalized value itself.
+func gramKeys(dict []string, counts []int, opt Options) keySet {
+	type live struct {
+		norm  string
+		code  int32
+		runes int32 // rune length, capped at MaxGram
+	}
+	maxGram := math.MaxInt32
+	if opt.MaxGram > 0 {
+		maxGram = opt.MaxGram
+	}
+	vals := make([]live, 0, len(dict))
 	for code, v := range dict {
 		if v == "" || counts[code] == 0 {
 			continue
 		}
-		var keys []Key
-		switch prof.Mode {
-		case relation.ModeTokenize:
+		if !utf8.ValidString(v) {
+			v = string([]rune(v))
+		}
+		vals = append(vals, live{norm: v, code: int32(code), runes: int32(min(utf8.RuneCountInString(v), maxGram))})
+	}
+	slices.SortFunc(vals, func(a, b live) int { return strings.Compare(a.norm, b.norm) })
+	cum := make([]int64, len(vals)+1)
+	for i, v := range vals {
+		cum[i+1] = cum[i] + int64(counts[v.code])
+	}
+
+	// open: prefix lengths lo..hi of the value at start all begin their
+	// run at start. Ranges on the stack are disjoint and ascending.
+	type open struct{ lo, hi, start int32 }
+	var stack []open
+	var ks keySet
+	var runs [][2]int32 // per surviving key, its run [start, end) in vals
+	for i := 0; i <= len(vals); i++ {
+		h := int32(0)
+		if i > 0 && i < len(vals) {
+			h = int32(commonRunes(vals[i-1].norm, vals[i].norm))
+		}
+		// Every open length above h ends its run at i. No range reaches
+		// past MaxGram, so an h above it closes nothing.
+		for len(stack) > 0 && stack[len(stack)-1].hi > h {
+			o := &stack[len(stack)-1]
+			lo := max(o.lo, h+1)
+			if s := cum[i] - cum[o.start]; opt.survives(s) {
+				for _, text := range runePrefixes(vals[o.start].norm, int(lo), int(o.hi)) {
+					ks.keys = append(ks.keys, Key{Text: text})
+					ks.support = append(ks.support, int32(s))
+					runs = append(runs, [2]int32{o.start, int32(i)})
+				}
+			}
+			if o.lo <= h {
+				o.hi = h
+				break
+			}
+			stack = stack[:len(stack)-1]
+		}
+		if i < len(vals) && vals[i].runes > h {
+			stack = append(stack, open{lo: h + 1, hi: vals[i].runes, start: int32(i)})
+		}
+	}
+
+	// Invert the runs into each code's surviving slots.
+	ks.start = make([]int32, len(dict)+1)
+	for _, r := range runs {
+		for _, v := range vals[r[0]:r[1]] {
+			ks.start[v.code+1]++
+		}
+	}
+	for c := range dict {
+		ks.start[c+1] += ks.start[c]
+	}
+	ks.slots = make([]int32, ks.start[len(dict)])
+	fill := slices.Clone(ks.start[:len(dict)])
+	for slot, r := range runs {
+		for _, v := range vals[r[0]:r[1]] {
+			ks.slots[fill[v.code]] = int32(slot)
+			fill[v.code]++
+		}
+	}
+	return ks
+}
+
+// commonRunes returns the length in runes of the longest common prefix
+// of two valid UTF-8 strings.
+func commonRunes(a, b string) int {
+	n := min(len(a), len(b))
+	p := 0
+	for p < n && a[p] == b[p] {
+		p++
+	}
+	// Equal bytes up to p mean equal runes up to the last rune start.
+	for p < n && p > 0 && !utf8.RuneStart(a[p]) {
+		p--
+	}
+	return utf8.RuneCountInString(a[:p])
+}
+
+// runePrefixes returns the prefixes of s that are lo..hi runes long.
+func runePrefixes(s string, lo, hi int) []string {
+	out := make([]string, 0, hi-lo+1)
+	l := 0
+	for i := range s {
+		if l >= lo {
+			out = append(out, s[:i])
+		}
+		if l++; l > hi {
+			return out
+		}
+	}
+	return append(out, s)
+}
+
+// tokenKeys finds the surviving (token, rune offset) keys plus the
+// whole-value keys. A valid UTF-8 value is tokenized in place, so each
+// token is a substring of the value; an invalid one goes through
+// relation.Tokenize, whose tokens carry U+FFFD. One map gives every key
+// a slot, hashing each key occurrence once; survivors are then chosen
+// and renumbered by slot.
+func tokenKeys(dict []string, counts []int, opt Options) keySet {
+	slotOf := make(map[Key]int32, 2*len(dict))
+	all := make([]Key, 0, 2*len(dict))
+	support := make([]int64, 0, 2*len(dict))
+	start := make([]int32, len(dict)+1)
+	slots := make([]int32, 0, 2*len(dict))
+	add := func(k Key, c int64) {
+		s, ok := slotOf[k]
+		if !ok {
+			s = int32(len(all))
+			slotOf[k] = s
+			all = append(all, k)
+			support = append(support, 0)
+		}
+		support[s] += c
+		slots = append(slots, s)
+	}
+	for code, v := range dict {
+		start[code] = int32(len(slots))
+		if v == "" || counts[code] == 0 {
+			continue
+		}
+		c := int64(counts[code])
+		// The whole value is always a candidate partial pattern; the
+		// paper's Example 8 prefers full values as "more expressive"
+		// and substring pruning removes tokens they subsume. Within one
+		// value the keys are pairwise distinct: token offsets differ,
+		// and the whole value is added only when no single token
+		// already equals it.
+		whole := true
+		if utf8.ValidString(v) {
+			ntok, tokStart, tokPos, pos := 0, -1, 0, 0
+			for i, r := range v {
+				switch {
+				case relation.IsSeparator(r):
+					if tokStart >= 0 {
+						add(Key{Text: v[tokStart:i], Pos: tokPos}, c)
+						ntok++
+						tokStart = -1
+					}
+				case tokStart < 0:
+					tokStart, tokPos = i, pos
+				}
+				pos++
+			}
+			if tokStart >= 0 {
+				add(Key{Text: v[tokStart:], Pos: tokPos}, c)
+				whole = ntok > 0 || tokStart > 0
+			}
+		} else {
 			toks, offs := relation.Tokenize(v)
-			keys = make([]Key, len(toks), len(toks)+1)
 			for i, tok := range toks {
-				keys[i] = Key{Text: tok, Pos: offs[i]}
-			}
-			// The whole value is always a candidate partial pattern; the
-			// paper's Example 8 prefers full values as "more expressive"
-			// and substring pruning removes tokens they subsume.
-			if len(toks) != 1 || toks[0] != v {
-				keys = append(keys, Key{Text: v, Pos: 0})
-			}
-		default:
-			// Anchored prefix grams, generated in place (the []string
-			// round-trip through relation.NGrams doubled the garbage on
-			// near-unique columns).
-			rs := []rune(v)
-			maxLen := len(rs)
-			if opt.MaxGram > 0 && opt.MaxGram < maxLen {
-				maxLen = opt.MaxGram
-			}
-			keys = make([]Key, maxLen)
-			for l := 1; l <= maxLen; l++ {
-				keys[l-1] = Key{Text: string(rs[:l])}
+				add(Key{Text: tok, Pos: offs[i]}, c)
 			}
 		}
-		keysByCode[code] = keys
+		if whole {
+			add(Key{Text: v}, c)
+		}
 	}
-	return keysByCode
+	start[len(dict)] = int32(len(slots))
+
+	// Renumber the survivors densely and drop every other slot from the
+	// per-code lists, in place.
+	ks := keySet{start: start}
+	renum := make([]int32, len(all))
+	for s, sup := range support {
+		renum[s] = -1
+		if opt.survives(sup) {
+			renum[s] = int32(len(ks.keys))
+			ks.keys = append(ks.keys, all[s])
+			ks.support = append(ks.support, int32(sup))
+		}
+	}
+	w, lo := int32(0), int32(0)
+	for c := range dict {
+		hi := start[c+1]
+		for _, s := range slots[lo:hi] {
+			if r := renum[s]; r >= 0 {
+				slots[w] = r
+				w++
+			}
+		}
+		lo = hi
+		start[c+1] = w
+	}
+	ks.slots = slots[:w]
+	return ks
 }
 
-// KeySupports computes the support histogram of one column from its
-// dictionary alone: for every partial-value key, the sum of the live
-// counts of the distinct values carrying it — exactly the supports the
-// index entries of Build would have, with no row data touched. The
-// out-of-core driver uses it to bound candidate coverage from the
-// merged global dictionary before deciding which candidates are worth
-// a chunk pass.
+// KeySupports computes the supports of one column's keys from its
+// dictionary alone — exactly the supports the index entries of Build
+// would have, with no row data touched. Only keys reaching opt.MinIDs
+// are returned. The out-of-core driver uses it to bound candidate
+// coverage from the merged global dictionary before deciding which
+// candidates are worth a chunk pass.
 func KeySupports(dict []string, counts []int, prof relation.ColumnProfile, opt Options) map[Key]int32 {
-	keysByCode := keysForDict(dict, counts, prof, opt)
-	support := make(map[Key]int32)
-	for code, keys := range keysByCode {
-		for _, k := range keys {
-			support[k] += int32(counts[code])
-		}
+	ks := surviveKeys(dict, counts, prof, opt)
+	out := make(map[Key]int32, len(ks.keys))
+	for i, k := range ks.keys {
+		out[k] = ks.support[i]
 	}
-	return support
+	return out
 }
 
+// buildAttr builds one column's postings. The key pass runs once per
+// distinct value and knows every support before a posting exists, so
+// postings are pre-sized exactly and the per-row pass only fans rows
+// out through the codes.
 func buildAttr(t *relation.Table, col string, prof relation.ColumnProfile, opt Options) *Attribute {
 	ci := t.MustCol(col)
 	dict, counts, codes := t.Dict(ci), t.DictCounts(ci), t.Codes(ci)
-
-	// Partial-value extraction runs once per distinct value; the per-row
-	// pass below only fans the precomputed keys out through the codes.
-	keysByCode := keysForDict(dict, counts, prof, opt)
-
-	// Support histogram over the dictionary, weighted by multiplicity: a
-	// key's support is the sum of the live counts of the distinct values
-	// carrying it (each row contributes each of its keys once). Knowing
-	// supports before materialization means below-MinIDs keys — the
-	// overwhelming majority on near-unique columns, where every value
-	// sheds a pile of singleton n-grams — never get a posting at all.
-	support := make(map[Key]int32)
-	for code, keys := range keysByCode {
-		for _, k := range keys {
-			support[k] += int32(counts[code])
-		}
+	ks := surviveKeys(dict, counts, prof, opt)
+	entries := make([]Entry, len(ks.keys))
+	for i, k := range ks.keys {
+		entries[i] = Entry{Key: k, List: make([]int32, 0, ks.support[i])}
 	}
-
-	// Assign dense entry slots to the survivors, once per distinct
-	// value; postings are pre-sized exactly from the histogram.
-	numSurvivors := 0
-	for _, s := range support {
-		if opt.MinIDs <= 0 || int(s) >= opt.MinIDs {
-			numSurvivors++
-		}
-	}
-	entries := make([]Entry, 0, numSurvivors)
-	entryOf := make(map[Key]int32, numSurvivors)
-	survByCode := make([][]int32, len(dict))
-	for code, keys := range keysByCode {
-		var surv []int32
-		for _, k := range keys {
-			s := support[k]
-			if opt.MinIDs > 0 && int(s) < opt.MinIDs {
-				continue
-			}
-			ei, ok := entryOf[k]
-			if !ok {
-				ei = int32(len(entries))
-				entryOf[k] = ei
-				entries = append(entries, Entry{Key: k, List: make([]int32, 0, s)})
-			}
-			surv = append(surv, ei)
-		}
-		survByCode[code] = surv
-	}
-
 	// Row fan-out: pure appends through the code vector — no hashing.
 	for row, code := range codes {
-		for _, ei := range survByCode[code] {
+		for _, ei := range ks.slots[ks.start[code]:ks.start[code+1]] {
 			entries[ei].List = append(entries[ei].List, int32(row))
 		}
 	}
-	a := &Attribute{Name: col, Mode: prof.Mode, Entries: entries}
+	return finishAttr(col, prof.Mode, entries, t.NumRows(), opt)
+}
+
+// finishAttr orders and prunes the postings, then materializes the
+// bitsets (one backing allocation for the whole attribute), the row ->
+// entries mapping (exact-capacity, sized by a degree-counting pass),
+// and the key lookup for survivors.
+func finishAttr(col string, mode relation.ExtractMode, entries []Entry, numRows int, opt Options) *Attribute {
+	a := &Attribute{Name: col, Mode: mode, Entries: entries}
 	a.sortEntries()
 	if !opt.DisablePrune {
 		a.pruneSubstrings()
 	}
-	// Materialize bitsets (one backing allocation for the whole
-	// attribute), the row -> entries mapping (exact-capacity, sized by a
-	// degree-counting pass), and the key lookup for survivors.
-	sets := NewBitsetBatch(len(a.Entries), t.NumRows())
-	degree := make([]int32, t.NumRows())
+	sets := NewBitsetBatch(len(a.Entries), numRows)
+	degree := make([]int32, numRows)
 	a.byKey = make(map[Key]int32, len(a.Entries))
 	for i := range a.Entries {
 		e := &a.Entries[i]
@@ -216,7 +380,7 @@ func buildAttr(t *relation.Table, col string, prof relation.ColumnProfile, opt O
 		}
 		a.byKey[e.Key] = int32(i)
 	}
-	a.RowEntries = make([][]int32, t.NumRows())
+	a.RowEntries = make([][]int32, numRows)
 	flat := make([]int32, 0, int(sum32(degree)))
 	for id, d := range degree {
 		a.RowEntries[id] = flat[len(flat) : len(flat) : len(flat)+int(d)]

@@ -52,13 +52,10 @@ func newBounder(m *DictMerger, profiles []relation.ColumnProfile, usable []int, 
 		MinIDs:       params.MinSupport,
 		DisablePrune: params.DisableSubstringPrune,
 	}
-	minSupport := int32(params.MinSupport)
 	for _, c := range usable {
 		var cb colBound
+		// KeySupports returns only the keys reaching MinSupport.
 		for _, s := range index.KeySupports(m.Dict(c), m.Counts(c), profiles[c], opt) {
-			if s < minSupport {
-				continue
-			}
 			cb.sumSupported += int64(s)
 			if s < vacuousLimit {
 				cb.sumEligible += int64(s)

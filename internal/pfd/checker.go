@@ -54,16 +54,17 @@ func RequiredColumnRefs(pfds []*PFD) []RequiredColumn {
 	return refs
 }
 
-// MissingColumnError reports a tuple that lacks a column referenced by
-// one of the checked PFDs. The tuple is rejected without being folded
-// into the consensus state.
+// MissingColumnError reports an input that lacks a column referenced
+// by one of the PFDs: a streamed tuple, which is rejected without being
+// folded into the consensus state, or a table given to batch detection
+// or repair, which then evaluates nothing.
 type MissingColumnError struct {
 	Column string
 	PFD    *PFD
 }
 
 func (e *MissingColumnError) Error() string {
-	return fmt.Sprintf("pfd: tuple is missing column %q required by %s", e.Column, e.PFD.Embedded())
+	return fmt.Sprintf("pfd: input is missing column %q required by %s", e.Column, e.PFD.Embedded())
 }
 
 // GroupState is the running consensus of one LHS-equivalence group —

@@ -259,10 +259,17 @@ type liveGroup struct {
 // Run is ViolationsContext that also reports skipped, the number of
 // LHS groups this execute short-circuited as matching no live row.
 func (p *Plan) Run(ctx context.Context, t *relation.Table) (out [][]pfd.Violation, skipped int, err error) {
+	// Checked up front as well as per group: when every group is
+	// short-circuited, no group check runs at all.
+	if err := ctx.Err(); err != nil {
+		return nil, 0, err
+	}
 	nrows := t.NumRows()
 
 	// Resolve every referenced column once (MustCol panics on a missing
-	// column, exactly as independent evaluation would).
+	// column, exactly as independent evaluation would; repair's
+	// DetectContextOptions turns a missing column into an error before
+	// either runs).
 	cols := make(map[string]*colState)
 	var colOrder []*colState
 	for _, e := range p.cells {

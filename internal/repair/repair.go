@@ -75,7 +75,16 @@ func DetectContext(ctx context.Context, t *relation.Table, pfds []*pfd.PFD, onPF
 // violation slices are exactly what each PFD's own Violations
 // returns), so the dedup fold below sees the same input under
 // NoPlanner, which observes the context between PFDs instead.
+//
+// Every column the rules name is resolved first, so a rule naming a
+// column the table lacks fails both paths alike with a
+// *pfd.MissingColumnError, whatever its tableau.
 func DetectContextOptions(ctx context.Context, t *relation.Table, pfds []*pfd.PFD, opts Options) ([]Finding, error) {
+	for _, rc := range pfd.RequiredColumnRefs(pfds) {
+		if t.Col(rc.Column) < 0 {
+			return nil, &pfd.MissingColumnError{Column: rc.Column, PFD: rc.PFD}
+		}
+	}
 	var violations [][]pfd.Violation
 	if opts.NoPlanner {
 		violations = make([][]pfd.Violation, len(pfds))

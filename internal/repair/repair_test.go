@@ -2,6 +2,7 @@ package repair
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -136,6 +137,55 @@ func TestDetectContextCancel(t *testing.T) {
 					len(pfds), noPlanner, fs, err)
 			}
 		}
+	}
+}
+
+// TestDetectCanceledAllGroupsSkipped cancels before a run in which the
+// planner short-circuits every LHS group, so no per-group context check
+// runs: both paths must still report the cancellation.
+func TestDetectCanceledAllGroupsSkipped(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	dead := pfd.MustNew("Zip", []string{"zip"}, "city",
+		pfd.Row{LHS: []pfd.Cell{pfd.Pat(pattern.Constant("absent"))}, RHS: pfd.Wildcard()})
+	for _, noPlanner := range []bool{false, true} {
+		fs, err := DetectContextOptions(ctx, zipTable(), []*pfd.PFD{dead}, Options{NoPlanner: noPlanner})
+		if !errors.Is(err, context.Canceled) || fs != nil {
+			t.Fatalf("NoPlanner %v: canceled detection = (%v, %v), want (nil, context.Canceled)", noPlanner, fs, err)
+		}
+	}
+}
+
+// TestDetectMissingColumn runs rules naming a column the table lacks,
+// on the LHS or the RHS, with and without tableau rows: both paths must
+// return the same *pfd.MissingColumnError instead of panicking.
+func TestDetectMissingColumn(t *testing.T) {
+	zipState := pfd.Row{LHS: []pfd.Cell{pfd.Pat(pattern.MustParse(`(900)\D{2}`))}, RHS: pfd.Wildcard()}
+	cases := []struct {
+		name    string
+		rule    *pfd.PFD
+		missing string
+	}{
+		{"rhs", pfd.MustNew("d", []string{"zip"}, "state", zipState), "state"},
+		{"lhs", pfd.MustNew("d", []string{"county"}, "city", zipState), "county"},
+		{"empty tableau", pfd.MustNew("d", []string{"zip"}, "state"), "state"},
+	}
+	for _, c := range cases {
+		for _, noPlanner := range []bool{false, true} {
+			for _, pfds := range [][]*pfd.PFD{{c.rule}, {varPFD(), c.rule}} {
+				fs, err := DetectContextOptions(context.Background(), zipTable(), pfds, Options{NoPlanner: noPlanner})
+				var mce *pfd.MissingColumnError
+				if !errors.As(err, &mce) || fs != nil {
+					t.Fatalf("%s, NoPlanner %v: detection = (%v, %v), want *pfd.MissingColumnError", c.name, noPlanner, fs, err)
+				}
+				if mce.Column != c.missing || mce.PFD != c.rule {
+					t.Fatalf("%s: error names column %q of %v, want %q of %v", c.name, mce.Column, mce.PFD, c.missing, c.rule)
+				}
+			}
+		}
+	}
+	if _, err := HolisticContext(context.Background(), zipTable(), []*pfd.PFD{cases[0].rule}, HolisticOptions{}); err == nil {
+		t.Fatal("holistic repair with a missing column: want an error")
 	}
 }
 

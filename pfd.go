@@ -166,7 +166,8 @@ type HolisticResult = repair.HolisticResult
 type StreamViolation = pfd.StreamViolation
 
 // MissingColumnError is returned by Validate and StreamEngine.Submit
-// when a tuple lacks a column some PFD references.
+// when a tuple lacks a column some PFD references, and by Detect and
+// RepairToFixpoint when the input table does.
 type MissingColumnError = pfd.MissingColumnError
 
 // StreamEngine is the sharded, batched streaming validator: group
