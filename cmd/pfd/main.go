@@ -432,9 +432,8 @@ func detect(ctx context.Context, table *pfd.Table, rules *pfd.Ruleset) *pfd.Dete
 	var missing *pfd.MissingColumnError
 	if errors.As(err, &missing) {
 		// The rules do not fit the input: a usage error, like a bad
-		// flag. The error text already starts with "pfd:".
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		// flag.
+		exit(2, err)
 	}
 	if err != nil {
 		fatal(err)
@@ -554,7 +553,20 @@ discover — a comma list or glob of .pfdt chunk files mined out of
 core under -mem-limit without ever materializing the relation.`)
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "pfd:", err)
-	os.Exit(1)
+func fatal(err error) { exit(1, err) }
+
+// exit prints err's one stderr line and exits with code.
+func exit(code int, err error) {
+	fmt.Fprintln(os.Stderr, errLine(err))
+	os.Exit(code)
+}
+
+// errLine renders err with exactly one "pfd:" prefix: the library's
+// typed errors already carry it, the command's own errors do not.
+func errLine(err error) string {
+	msg := err.Error()
+	if strings.HasPrefix(msg, "pfd: ") {
+		return msg
+	}
+	return "pfd: " + msg
 }

@@ -6,10 +6,9 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"pfd/internal/index"
+	"pfd/internal/kernel"
 	"pfd/internal/lattice"
 	"pfd/internal/pattern"
 	"pfd/internal/pfd"
@@ -152,49 +151,20 @@ func DiscoverContext(ctx context.Context, t *relation.Table, params Params, onPr
 // respects CPU quotas and user limits.
 var numWorkers = runtime.GOMAXPROCS(0)
 
-// evalCandidates evaluates one lattice level's candidates, fanning out to
-// numWorkers workers when there is enough work. Each worker owns a
-// discoverer whose scratch (count buffers, draft bitset) is reused across
-// its candidates; results land in candidate order. Every worker checks
-// the context before each candidate, so cancellation stops the level
-// after at most one in-flight candidate per worker.
+// evalCandidates evaluates one lattice level's candidates on the
+// kernel.ForEach pool, numWorkers wide. Each worker owns a discoverer
+// whose scratch (count buffers, draft bitset) is reused across its
+// candidates; results land in candidate order. Cancellation stops the
+// level after at most one in-flight candidate per worker.
 func evalCandidates(ctx context.Context, shared sharedState, cands []lattice.Candidate) ([]*Dependency, error) {
 	deps := make([]*Dependency, len(cands))
-	workers := numWorkers
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	if workers <= 1 {
-		d := &discoverer{sharedState: shared}
-		for i, cand := range cands {
-			if err := ctx.Err(); err != nil {
-				return deps, err
-			}
-			deps[i] = d.tryCandidate(cand.LHS, cand.RHS)
-		}
-		return deps, nil
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			d := &discoverer{sharedState: shared}
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= len(cands) {
-					return
-				}
-				deps[i] = d.tryCandidate(cands[i].LHS, cands[i].RHS)
-			}
-		}()
-	}
-	wg.Wait()
-	return deps, ctx.Err()
+	err := kernel.ForEach(ctx, numWorkers, len(cands),
+		func() *discoverer { return &discoverer{sharedState: shared} },
+		func(d *discoverer, i int) error {
+			deps[i] = d.tryCandidate(cands[i].LHS, cands[i].RHS)
+			return nil
+		})
+	return deps, err
 }
 
 // sharedState is the read-only context every worker shares.

@@ -11,8 +11,10 @@
 // here do the fan-out 64 rows per word: bit r of a bitmap is row r,
 // the last word of an n-row bitmap keeps its top 64-(n mod 64) bits
 // zero (see TailMask), and every operation is free of per-row
-// branches, so the compiler keeps the inner loops in registers and a
-// chunk worker can own an aligned word range without synchronization.
+// branches, so the compiler keeps the inner loops in registers.
+//
+// ForEach is the one worker pool of a batch call; the scan kernels
+// themselves are serial.
 package kernel
 
 import "math/bits"
@@ -271,79 +273,6 @@ func GatherGroupsCodes(g *Groups, codes []uint32, ids []int32, weights []int) {
 		g.ids[g.cursor[slot]] = int32(r)
 		g.cursor[slot]++
 	}
-}
-
-// A Runner executes fn(chunk) for every chunk in [0, chunks), possibly
-// concurrently, and returns once all calls have completed. The serial
-// runner is `func(chunks int, fn func(int)) { for c := range chunks {
-// fn(c) } }`; callers with a worker pool hand chunks to it. Kernels
-// invoking a Runner partition their work so that concurrent fn calls
-// touch disjoint memory and the result is identical for every
-// execution order — parallelism never changes output.
-type Runner func(chunks int, fn func(chunk int))
-
-// GatherGroupsCodesParallel is GatherGroupsCodes with both passes run
-// chunk-parallel: rows are split into fixed chunkRows-sized chunks,
-// each chunk histograms privately, a sequential layout pass turns the
-// per-chunk histograms into disjoint per-(chunk, group) arena regions,
-// and the scatter writes each chunk's rows into its own region. Row
-// ids stay ascending within every group because chunk c's region
-// precedes chunk c+1's and rows scatter in row order within a chunk.
-// The output is bit-identical to GatherGroupsCodes for every chunk
-// size and any Runner concurrency.
-func GatherGroupsCodesParallel(g *Groups, codes []uint32, ids []int32, chunkRows int, run Runner) {
-	numSids := len(ids)
-	chunks := (len(codes) + chunkRows - 1) / chunkRows
-	if chunks <= 1 {
-		GatherGroupsCodes(g, codes, ids, nil)
-		return
-	}
-	g.reset(numSids)
-	// Per-chunk histograms, flattened [chunk*numSids + sid].
-	hist := make([]int32, chunks*numSids)
-	run(chunks, func(c int) {
-		lo := c * chunkRows
-		hi := min(lo+chunkRows, len(codes))
-		h := hist[c*numSids : (c+1)*numSids]
-		for _, code := range codes[lo:hi] {
-			if sid := ids[code]; sid >= 0 {
-				h[sid]++
-			}
-		}
-	})
-	for c := 0; c < chunks; c++ {
-		h := hist[c*numSids : (c+1)*numSids]
-		for sid, n := range h {
-			g.counts[sid] += n
-		}
-	}
-	slotOf, _ := g.layout()
-	// Rewrite hist in place into per-(chunk, slot) write cursors: chunk
-	// c's region for a group starts where chunk c-1's ends.
-	for sid, slot := range slotOf {
-		if slot < 0 {
-			continue
-		}
-		cur := g.start[slot]
-		for c := 0; c < chunks; c++ {
-			n := hist[c*numSids+sid]
-			hist[c*numSids+sid] = cur
-			cur += n
-		}
-	}
-	run(chunks, func(c int) {
-		lo := c * chunkRows
-		hi := min(lo+chunkRows, len(codes))
-		cursors := hist[c*numSids : (c+1)*numSids]
-		for r := lo; r < hi; r++ {
-			sid := ids[codes[r]]
-			if sid < 0 {
-				continue
-			}
-			g.ids[cursors[sid]] = int32(r)
-			cursors[sid]++
-		}
-	})
 }
 
 // MatchedWeight sums the live multiplicities of every dictionary entry

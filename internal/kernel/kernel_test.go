@@ -305,20 +305,6 @@ func TestGatherGroupsCodes(t *testing.T) {
 	}
 }
 
-// serialRunner is the trivial Runner; parallelRunner exercises real
-// concurrency with out-of-order chunk starts.
-func serialRunner(chunks int, fn func(int)) {
-	for c := 0; c < chunks; c++ {
-		fn(c)
-	}
-}
-
-func reverseRunner(chunks int, fn func(int)) {
-	for c := chunks - 1; c >= 0; c-- {
-		fn(c)
-	}
-}
-
 func TestAndMatchBitmapSigned(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for _, n := range []int{0, 1, 63, 64, 65, 200} {
@@ -342,46 +328,6 @@ func TestAndMatchBitmapSigned(t *testing.T) {
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("n=%d word %d: %#x, want %#x", n, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestGatherGroupsCodesParallel pins the parallel gather bit-identical
-// to the sequential one for assorted chunk sizes (including chunks that
-// don't divide the row count) and chunk execution orders.
-func TestGatherGroupsCodesParallel(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var seq, par Groups
-	for trial := 0; trial < 40; trial++ {
-		n := rng.Intn(700)
-		distinct := rng.Intn(12) + 1
-		codes := randomCodes(rng, n, distinct)
-		ids := make([]int32, distinct)
-		for i := range ids {
-			ids[i] = int32(rng.Intn(distinct+1)) - 1
-		}
-		GatherGroupsCodes(&seq, codes, ids, nil)
-		for _, chunkRows := range []int{1, 7, 64, 100, 1024} {
-			for _, run := range []Runner{serialRunner, reverseRunner} {
-				GatherGroupsCodesParallel(&par, codes, ids, chunkRows, run)
-				if par.Len() != seq.Len() {
-					t.Fatalf("chunk=%d: Len %d, want %d", chunkRows, par.Len(), seq.Len())
-				}
-				for i := 0; i < seq.Len(); i++ {
-					if par.Sid(i) != seq.Sid(i) {
-						t.Fatalf("chunk=%d group %d: sid mismatch", chunkRows, i)
-					}
-					a, b := par.Rows(i), seq.Rows(i)
-					if len(a) != len(b) {
-						t.Fatalf("chunk=%d group %d: size mismatch", chunkRows, i)
-					}
-					for j := range a {
-						if a[j] != b[j] {
-							t.Fatalf("chunk=%d group %d row %d: %d != %d", chunkRows, i, j, a[j], b[j])
-						}
-					}
-				}
 			}
 		}
 	}

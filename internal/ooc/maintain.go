@@ -5,20 +5,16 @@ import (
 
 	"pfd/internal/discovery"
 	"pfd/internal/pfd"
-	"pfd/internal/relation"
 )
 
-// Maintainer folds new tuple batches into per-rule support and
-// violation counters and re-ranks or demotes discovered PFDs without
-// re-mining. It is the incremental half of out-of-core discovery: the
-// confirm pass (or a prior Maintainer) seeds the counters, and every
-// subsequent batch just updates them.
-//
-// Violations counted by FoldTable use batch-local consensus (each
-// batch is checked on its own, like pfd.Violations); a streaming
-// deployment with cross-batch group state feeds ObserveViolation from
-// its engine's violation callback instead. All methods are safe for
-// concurrent use.
+// Maintainer folds new tuples into per-rule support and violation
+// counters and re-ranks or demotes discovered PFDs without re-mining.
+// It is the incremental half of out-of-core discovery: the confirm pass
+// (or a prior Maintainer) seeds the counters, and a streaming
+// deployment then feeds ObserveRows with its row counts and
+// ObserveViolation from its engine's violation callback, so violations
+// are judged with the engine's cross-batch group state. All methods
+// are safe for concurrent use.
 type Maintainer struct {
 	mu     sync.Mutex
 	params discovery.Params
@@ -69,48 +65,6 @@ func (m *Maintainer) Seed(h RuleHealth) {
 		r.support = h.Support
 		r.violations = h.Violations
 		r.demoted = !h.Active
-	}
-}
-
-// FoldTable folds one new batch of tuples into every rule's counters
-// with one Count per rule: support is the batch rows any tableau row's
-// LHS matches, violations come from batch-local consensus checking.
-func (m *Maintainer) FoldTable(t *relation.Table) {
-	type delta struct {
-		support    int64
-		violations int64
-	}
-	m.mu.Lock()
-	rules := make([]*maintained, len(m.rules))
-	copy(rules, m.rules)
-	m.mu.Unlock()
-
-	deltas := make([]delta, len(rules))
-	for i, r := range rules {
-		if t.Col(r.p.RHS) < 0 {
-			continue
-		}
-		missing := false
-		for _, a := range r.p.LHS {
-			if t.Col(a) < 0 {
-				missing = true
-				break
-			}
-		}
-		if missing {
-			continue
-		}
-		covered, violations := r.p.Count(t)
-		deltas[i].support, deltas[i].violations = int64(covered), int64(violations)
-	}
-
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.rows += int64(t.NumRows())
-	for i, r := range rules {
-		r.support += deltas[i].support
-		r.violations += deltas[i].violations
-		m.reassess(r)
 	}
 }
 

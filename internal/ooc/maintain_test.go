@@ -1,13 +1,14 @@
 package ooc
 
 import (
-	"math/rand"
 	"sync"
 	"testing"
 
 	"pfd/internal/datagen"
 	"pfd/internal/discovery"
 	"pfd/internal/pfd"
+	"pfd/internal/relation"
+	"pfd/internal/stream"
 )
 
 func zipRules(t *testing.T) ([]*discovery.Dependency, discovery.Params) {
@@ -28,23 +29,45 @@ func depPFDs(deps []*discovery.Dependency) []*pfd.PFD {
 	return out
 }
 
+// observe streams tb through eng, whose violation callback feeds m,
+// and accounts its rows; the Snapshot barrier returns once every
+// violation of tb has landed.
+func observe(t *testing.T, m *Maintainer, eng *stream.Engine, tb *relation.Table) {
+	t.Helper()
+	if err := eng.SubmitTable(tb); err != nil {
+		t.Fatal(err)
+	}
+	eng.Snapshot()
+	m.ObserveRows(tb.NumRows())
+}
+
 func TestMaintainerFoldAndDemote(t *testing.T) {
 	deps, params := zipRules(t)
 	m := NewMaintainer(depPFDs(deps), params)
+	eng := stream.New(depPFDs(deps), stream.Options{
+		Shards:            2,
+		DiscardViolations: true,
+		OnViolation: func(v pfd.StreamViolation) {
+			if v.NewTuple {
+				m.ObserveViolation(v.PFD)
+			}
+		},
+	})
+	defer eng.Close()
 
-	// Clean batches: support grows, no violations, everything active.
+	// A clean batch: no violations, everything active.
 	clean, _ := datagen.ZipState(400, 2)
-	m.FoldTable(clean)
+	observe(t, m, eng, clean)
 	h := m.Health()
 	if len(h) != len(deps) {
 		t.Fatalf("Health has %d entries for %d rules", len(h), len(deps))
 	}
 	for _, rh := range h {
 		if !rh.Active {
-			t.Fatalf("clean fold demoted %s", rh.Embedded)
+			t.Fatalf("clean batch demoted %s", rh.Embedded)
 		}
 		if rh.Violations != 0 {
-			t.Fatalf("clean fold charged %d violations to %s", rh.Violations, rh.Embedded)
+			t.Fatalf("clean batch charged %d violations to %s", rh.Violations, rh.Embedded)
 		}
 	}
 	if len(m.Active()) != len(deps) {
@@ -56,7 +79,7 @@ func TestMaintainerFoldAndDemote(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		dirty, _ := datagen.ZipState(400, int64(10+i))
 		datagen.InjectErrors(dirty, "state", 0.6, false, int64(30+i))
-		m.FoldTable(dirty)
+		observe(t, m, eng, dirty)
 	}
 	demoted := 0
 	for _, rh := range m.Health() {
@@ -133,49 +156,4 @@ func TestMaintainerSeed(t *testing.T) {
 		}
 	}
 	t.Fatal("seeded rule missing")
-}
-
-// TestFoldTableCounters pins FoldTable's per-batch accounting on random
-// tables: support is the number of rows the row-at-a-time MatchesLHS
-// accepts under some tableau row, and violations the length of the
-// rule's Violations, which FoldTable counts without building them.
-func TestFoldTableCounters(t *testing.T) {
-	r := rand.New(rand.NewSource(25))
-	for _, id := range []string{"T1", "T5", "T13"} {
-		spec, _ := datagen.SpecByID(id)
-		ref, _ := spec.Build(500, 1, 0)
-		var pfds []*pfd.PFD
-		for _, dep := range discovery.Discover(ref, discovery.DefaultParams()).Dependencies {
-			pfds = append(pfds, dep.PFD)
-		}
-		if len(pfds) == 0 {
-			t.Fatalf("mining %s found no rules", id)
-		}
-		for trial := 0; trial < 8; trial++ {
-			tb, _ := spec.Build(r.Intn(400), r.Int63(), 0.3*r.Float64())
-			m := NewMaintainer(pfds, discovery.DefaultParams())
-			m.FoldTable(tb)
-			health := map[string]RuleHealth{}
-			for _, h := range m.Health() {
-				health[h.Embedded] = h
-			}
-			for _, p := range pfds {
-				h := health[embeddedOf(p)]
-				var support int64
-				for id := 0; id < tb.NumRows(); id++ {
-					for ri := range p.Tableau {
-						if p.MatchesLHS(tb, ri, id) {
-							support++
-							break
-						}
-					}
-				}
-				violations := int64(len(p.Violations(tb)))
-				if h.Support != support || h.Violations != violations {
-					t.Fatalf("%s trial %d rule %s: FoldTable counted support %d, violations %d; want %d, %d",
-						id, trial, h.Embedded, h.Support, h.Violations, support, violations)
-				}
-			}
-		}
-	}
 }

@@ -5,10 +5,9 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"pfd/internal/discovery"
+	"pfd/internal/kernel"
 	"pfd/internal/lattice"
 	"pfd/internal/relation"
 )
@@ -183,14 +182,15 @@ func (d *driver) evalBatch(ctx context.Context, cands []lattice.Candidate, b bat
 	return discovery.EvalCandidates(ctx, t, profs, names, d.params, bcands)
 }
 
+// projectWorkers is the width of the kernel.ForEach pool the
+// projection's chunks run on; a variable so tests can pin sequential
+// and parallel builds against each other.
+var projectWorkers = runtime.GOMAXPROCS(0)
+
 // project assembles a full-row table of the given global columns: each
 // chunk's code vectors are remapped into the global code space and
 // concatenated, and the table adopts the merged global dictionaries.
 // The result is byte-identical to projecting the monolithic relation.
-// projectWorkers is the projection worker-pool width; a variable so
-// tests can pin sequential and parallel builds against each other.
-var projectWorkers = runtime.GOMAXPROCS(0)
-
 func (d *driver) project(ctx context.Context, cols []int) (*relation.Table, error) {
 	n := d.merger.Rows()
 	codes := make([][]uint32, len(cols))
@@ -209,7 +209,7 @@ func (d *driver) project(ctx context.Context, cols []int) (*relation.Table, erro
 		offsets[ci] = off
 		off += ref.rows
 	}
-	buildChunk := func(ci int) error {
+	err := kernel.ForEach[struct{}](ctx, projectWorkers, len(d.cs.chunks), nil, func(_ struct{}, ci int) error {
 		ref := d.cs.chunks[ci]
 		t, err := d.cs.load(ref)
 		if err != nil {
@@ -223,47 +223,9 @@ func (d *driver) project(ctx context.Context, cols []int) (*relation.Table, erro
 			}
 		}
 		return nil
-	}
-	workers := projectWorkers
-	if workers > len(d.cs.chunks) {
-		workers = len(d.cs.chunks)
-	}
-	if workers <= 1 {
-		for ci := range d.cs.chunks {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if err := buildChunk(ci); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		var next atomic.Int64
-		var firstErr atomic.Pointer[error]
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					ci := int(next.Add(1)) - 1
-					if ci >= len(d.cs.chunks) || firstErr.Load() != nil || ctx.Err() != nil {
-						return
-					}
-					if err := buildChunk(ci); err != nil {
-						firstErr.CompareAndSwap(nil, &err)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if ep := firstErr.Load(); ep != nil {
-			return nil, *ep
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	names := make([]string, len(cols))
 	dicts := make([][]string, len(cols))

@@ -225,10 +225,9 @@ func (p *PFD) MatchesLHS(t *relation.Table, ri, id int) bool {
 // LHSMatchBitmap returns the rows of t that match any tableau row's LHS
 // as a kernel bitmap (bit id set iff table row id matches every LHS
 // cell of some tableau row): the tableau is bound once, and each row's
-// match bitmap, built by chunk-parallel And-combining of the
-// per-attribute match bitmaps, is Or-ed in. Popcount it for coverage
-// counts; combine it with index bitsets directly — both share the
-// 64-rows-per-word layout.
+// match bitmap, the And of the per-attribute match bitmaps, is Or-ed
+// in. Popcount it for coverage counts; combine it with index bitsets
+// directly — both share the 64-rows-per-word layout.
 func (p *PFD) LHSMatchBitmap(t *relation.Table) []uint64 {
 	b := p.bind(t, false)
 	words := make([]uint64, kernel.Words(b.nrows))
@@ -238,6 +237,26 @@ func (p *PFD) LHSMatchBitmap(t *relation.Table) []uint64 {
 		kernel.OrInPlace(words, row)
 	}
 	return words
+}
+
+// andSpanBitmaps fills dst (kernel.Words(nrows) words) with the AND of
+// every LHS evaluation's match bitmap against its aligned code vector.
+func andSpanBitmaps(dst []uint64, evs []*SpanEval, codes [][]uint32, nrows int) {
+	dst = dst[:kernel.Words(nrows)]
+	if len(evs) == 0 {
+		// Degenerate empty LHS: every row matches vacuously.
+		for i := range dst {
+			dst[i] = ^uint64(0)
+		}
+		if len(dst) > 0 {
+			dst[len(dst)-1] = kernel.TailMask(nrows)
+		}
+		return
+	}
+	kernel.MatchBitmapSigned(dst, codes[0][:nrows], evs[0].Sid)
+	for j := 1; j < len(evs); j++ {
+		kernel.AndMatchBitmapSigned(dst, codes[j][:nrows], evs[j].Sid)
+	}
 }
 
 // Satisfied reports T |= ψ per Section 2.2: for every tableau row, any two
@@ -274,19 +293,20 @@ type Partition struct {
 //
 // A single-attribute LHS groups rows by interned span id with the
 // counting-sort gather — histogram in O(distinct) off the dictionary
-// multiplicities, one allocation-free scatter, chunk-parallel on large
-// tables. A wider LHS And-combines the per-attribute match bitmaps
-// (chunk-parallel) and builds the '\x00'-joined span key only for rows
-// that survive the bitmap; zero words skip 64 rows at a time. Groups
-// are sorted by span key and row ids ascend, so the partition is
-// identical at any worker or chunk count.
+// multiplicities, one allocation-free scatter. A wider LHS And-combines
+// the per-attribute match bitmaps and builds the '\x00'-joined span
+// key only for rows that survive the bitmap; zero words skip 64 rows at
+// a time. Groups are sorted by span key and row ids ascend. Build is
+// serial: a batch call spreads its work over cores one level up, in
+// the kernel.ForEach pool of its caller (the planner's LHS groups,
+// discovery's candidates).
 func (pt *Partition) Build(evs []*SpanEval, codes [][]uint32, counts []int, nrows int) {
 	pt.order = pt.order[:0]
 	pt.covered = 0
 	pt.single = len(evs) == 1
 	if pt.single {
 		ev := evs[0]
-		gatherSpanGroups(&pt.gg, codes[0], ev, counts, nrows)
+		kernel.GatherGroupsCodes(&pt.gg, codes[0], ev.Sid, counts)
 		for i := 0; i < pt.gg.Len(); i++ {
 			pt.order = append(pt.order, i)
 			pt.covered += len(pt.gg.Rows(i))
@@ -365,8 +385,7 @@ func (pt *Partition) Covered() int { return pt.covered }
 // the whole tableau is bound over its columns' dictionaries up front,
 // for this call only, and the rows are grouped by Partition.Build on
 // the internal/kernel scan primitives. Group emission order is sorted
-// by span key and row ids are ascending, so the output is
-// byte-identical at any worker or chunk count.
+// by span key and row ids are ascending.
 //
 // internal/plan drives the same Partition and group check (ScanGroup)
 // with cell evaluations pooled across rules; its per-rule output is

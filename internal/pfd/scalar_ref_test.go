@@ -196,31 +196,38 @@ func TestViolationsMatchesScalarReference(t *testing.T) {
 	}
 }
 
-// TestViolationsChunkParallelDeterministic forces the chunk-parallel
-// paths (table larger than two chunks, several workers) and pins the
-// output to both the scalar reference and the single-worker kernel
-// run — the acceptance condition for sharing the differential golden
-// at any worker count.
-func TestViolationsChunkParallelDeterministic(t *testing.T) {
+// TestLargeTableMatchesScalar pins Violations, Count and LHSMatchBitmap
+// to the scalar references on tables of more than 2×16,384 rows, with a
+// partial last bitmap word: sizes the randomized tests above never
+// reach.
+func TestLargeTableMatchesScalar(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large table")
 	}
 	r := rand.New(rand.NewSource(42))
-	nrows := 2*chunkRows + 1234 // spills into a partial third chunk
-	defer func(w int) { scanWorkers = w }(scanWorkers)
+	nrows := 2*16384 + 1234
 	for trial := 0; trial < 2; trial++ {
 		p, tb := randomWidePFDTable(r, nrows)
-
-		scanWorkers = 1
-		seq := p.Violations(tb)
-		scanWorkers = 4
-		par := p.Violations(tb)
-		if !reflect.DeepEqual(seq, par) {
-			t.Fatalf("trial %d: parallel Violations diverges from sequential (pfd=%s)", trial, p)
-		}
 		want := violationsScalar(p, tb)
-		if !reflect.DeepEqual(par, want) {
-			t.Fatalf("trial %d: parallel Violations diverges from scalar reference (pfd=%s)", trial, p)
+		if got := p.Violations(tb); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: Violations diverges from scalar reference (pfd=%s)", trial, p)
+		}
+		bm := p.LHSMatchBitmap(tb)
+		wantCovered := 0
+		for id, ok := range coveredScalar(p, tb) {
+			if bit := bm[id/kernel.WordBits]>>(id%kernel.WordBits)&1 == 1; bit != ok {
+				t.Fatalf("trial %d row %d: bitmap=%v scalar=%v (pfd=%s)", trial, id, bit, ok, p)
+			}
+			if ok {
+				wantCovered++
+			}
+		}
+		if n := kernel.PopcountSum(bm); n != wantCovered {
+			t.Fatalf("trial %d: %d bits set, %d rows covered (pfd=%s)", trial, n, wantCovered, p)
+		}
+		if covered, violations := p.Count(tb); covered != wantCovered || violations != len(want) {
+			t.Fatalf("trial %d: Count = (%d, %d), scalar (%d, %d) (pfd=%s)",
+				trial, covered, violations, wantCovered, len(want), p)
 		}
 	}
 }

@@ -48,8 +48,6 @@ import (
 	"context"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"pfd/internal/kernel"
@@ -58,8 +56,9 @@ import (
 	"pfd/internal/relation"
 )
 
-// execWorkers is the group-execution pool width; a variable so tests
-// can pin single-worker and many-worker runs against each other.
+// execWorkers is the width of the kernel.ForEach pool the LHS groups
+// run on, the only parallelism of an execute; a variable so tests can
+// pin single-worker and many-worker runs against each other.
 var execWorkers = runtime.GOMAXPROCS(0)
 
 // cellEntry is one distinct (column, tableau cell) pair of the
@@ -379,49 +378,21 @@ groups:
 		return live[i].gi < live[j].gi
 	})
 
-	// Execute: claim groups from an atomic counter, one scratch set per
-	// worker. blocks[rule][ri] cells are owned by exactly one group, so
-	// workers never share a write target.
+	// Execute on the kernel.ForEach pool, one scratch set per worker.
+	// blocks[rule][ri] cells are owned by exactly one group, so workers
+	// never share a write target.
 	blocks := make([][][]pfd.Violation, len(p.pfds))
 	for i, pf := range p.pfds {
 		blocks[i] = make([][]pfd.Violation, len(pf.Tableau))
 	}
-	workers := execWorkers
-	if workers > len(live) {
-		workers = len(live)
-	}
-	var next atomic.Int64
-	runOne := func(w *execScratch, lg liveGroup) {
-		p.runGroup(w, &p.groups[lg.gi], evs, cols, nrows, blocks)
-	}
-	if workers <= 1 {
-		w := &execScratch{}
-		for _, lg := range live {
-			if ctx.Err() != nil {
-				return nil, skipped, ctx.Err()
-			}
-			runOne(w, lg)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for i := 0; i < workers; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				w := &execScratch{}
-				for {
-					n := int(next.Add(1)) - 1
-					if n >= len(live) || ctx.Err() != nil {
-						return
-					}
-					runOne(w, live[n])
-				}
-			}()
-		}
-		wg.Wait()
-		if ctx.Err() != nil {
-			return nil, skipped, ctx.Err()
-		}
+	err = kernel.ForEach(ctx, execWorkers, len(live),
+		func() *execScratch { return &execScratch{} },
+		func(w *execScratch, n int) error {
+			p.runGroup(w, &p.groups[live[n].gi], evs, cols, nrows, blocks)
+			return nil
+		})
+	if err != nil {
+		return nil, skipped, err
 	}
 
 	// Fan back out: a rule's violations are its tableau-row blocks

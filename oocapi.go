@@ -16,9 +16,9 @@ type OOCStats = ooc.Stats
 // confidence, from the out-of-core confirm pass or a Maintainer.
 type RuleHealth = ooc.RuleHealth
 
-// Maintainer folds new tuple batches into per-rule support and
-// violation counters, re-ranking or demoting discovered PFDs without
-// re-mining; see NewMaintainer.
+// Maintainer folds streamed rows and violations into per-rule support
+// and violation counters, re-ranking or demoting discovered PFDs
+// without re-mining; see NewMaintainer.
 type Maintainer = ooc.Maintainer
 
 // NewMaintainer tracks the given rules for incremental maintenance.

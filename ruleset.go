@@ -134,10 +134,12 @@ type RuleParseError struct {
 }
 
 func (e *RuleParseError) Error() string {
+	// The rule parser's own errors carry the package prefix already.
+	msg := strings.TrimPrefix(e.Err.Error(), "pfd: ")
 	if e.Path != "" {
-		return fmt.Sprintf("pfd: %s:%d: %v", e.Path, e.Line, e.Err)
+		return fmt.Sprintf("pfd: %s:%d: %s", e.Path, e.Line, msg)
 	}
-	return fmt.Sprintf("pfd: rules line %d: %v", e.Line, e.Err)
+	return fmt.Sprintf("pfd: rules line %d: %s", e.Line, msg)
 }
 
 func (e *RuleParseError) Unwrap() error { return e.Err }
