@@ -271,30 +271,27 @@ func (v *Validation) Report() StreamReport { return v.report }
 const validateProgressEvery = 4096
 
 // Validate checks a source against PFDs with streaming (ingest-time)
-// semantics and returns a consistent final report. It runs the
-// sharded engine with one producer goroutine by default — deterministic
-// row ids in source order; WithWorkers scales the producer-side pattern
-// matching. WithWarmup folds a trusted reference in first so group
-// consensus exists before the first live tuple.
+// semantics and returns a consistent final report. It runs the engine
+// with one producer goroutine by default — deterministic row ids in
+// source order; WithWorkers scales the producer-side pattern matching.
+// WithWarmup folds a trusted reference in first so group consensus
+// exists before the first live tuple.
 //
 // Errors are typed: *ParseError for malformed input,
 // *MissingColumnError when a tuple lacks a column some PFD references,
-// and *CanceledError when ctx is canceled — including while a producer
-// is stalled on shard backpressure, which cancellation unblocks.
+// and *CanceledError when ctx is canceled.
 func Validate(ctx context.Context, src Source, pfds []*PFD, opts ...StreamOption) (*Validation, error) {
 	cfg := newStreamConfig(opts)
 
 	// Suppress handler delivery during warm replay: reference data is
 	// trusted, its violations are delta-tolerated dirt, not live
-	// findings.
-	var live atomic.Bool
-	if cfg.warm == nil {
-		live.Store(true)
-	}
+	// findings. The handler runs inside Submit, and live is set before
+	// the first live Submit, so a plain flag suffices.
+	live := cfg.warm == nil
 	engOpts := cfg.engine
 	if h := engOpts.OnViolation; h != nil {
 		engOpts.OnViolation = func(v StreamViolation) {
-			if live.Load() {
+			if live {
 				h(v)
 			}
 		}
@@ -308,9 +305,8 @@ func Validate(ctx context.Context, src Source, pfds []*PFD, opts ...StreamOption
 			eng.Close()
 			return nil, wrapCanceled(err, "validate", n)
 		}
-		eng.Snapshot() // barrier: drain the warm batches before going live
 		warmRows = n
-		live.Store(true)
+		live = true
 	}
 	n, err := submitEngine(ctx, eng, src, cfg.workers, cfg.progress)
 	rep := eng.Close()

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -63,8 +62,8 @@ func TestV2MatchesV1OnTable7Workloads(t *testing.T) {
 				t.Fatalf("findings differ:\nv2:\n%s\nv1:\n%s", got, want)
 			}
 
-			// Streaming validation: Validate (one and four shards) vs a
-			// reference Checker loop, identically sorted.
+			// Streaming validation: Validate vs a reference Checker
+			// loop, identically sorted.
 			checker := ipfd.NewChecker(pfds)
 			var v1vs []pfd.StreamViolation
 			for i := 0; i < tbl.NumRows(); i++ {
@@ -85,18 +84,15 @@ func TestV2MatchesV1OnTable7Workloads(t *testing.T) {
 			stream.SortViolations(v1vs, idx)
 			want := dumpViolations(v1vs, idx)
 
-			for _, shards := range []int{1, 4} {
-				val, err := pfd.Validate(ctx, pfd.FromTable(tbl), pfds, pfd.WithShards(shards))
-				if err != nil {
-					t.Fatalf("Validate(%d shards): %v", shards, err)
-				}
-				if val.Rows() != tbl.NumRows() {
-					t.Errorf("Validate(%d shards) rows = %d, want %d", shards, val.Rows(), tbl.NumRows())
-				}
-				if got := dumpViolations(val.Violations(), idx); got != want {
-					t.Errorf("Validate(%d shards) violations differ from the reference Checker:\nv2:\n%s\nv1:\n%s",
-						shards, got, want)
-				}
+			val, err := pfd.Validate(ctx, pfd.FromTable(tbl), pfds)
+			if err != nil {
+				t.Fatalf("Validate: %v", err)
+			}
+			if val.Rows() != tbl.NumRows() {
+				t.Errorf("Validate rows = %d, want %d", val.Rows(), tbl.NumRows())
+			}
+			if got := dumpViolations(val.Violations(), idx); got != want {
+				t.Errorf("Validate violations differ from the reference Checker:\nv2:\n%s\nv1:\n%s", got, want)
 			}
 		})
 	}
@@ -200,8 +196,8 @@ func TestValidateCancellation(t *testing.T) {
 		name string
 		opts []pfd.StreamOption
 	}{
-		{"sharded", []pfd.StreamOption{pfd.WithShards(2), pfd.WithWorkers(4)}},
-		{"single-producer", []pfd.StreamOption{pfd.WithShards(1)}},
+		{"sharded", []pfd.StreamOption{pfd.WithWorkers(4)}}, // several producers
+		{"single-producer", nil},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
@@ -265,11 +261,10 @@ func TestValidateWarmupSplit(t *testing.T) {
 	live := pfd.NewTable("Zip", "zip", "state")
 	live.Append("90091", "CA")
 	live.Append("90092", "WA") // deviates from the warm consensus
-	var handled atomic.Int32   // handlers run on shard workers, concurrently
+	handled := 0
 	val, err := pfd.Validate(context.Background(), pfd.FromTable(live), []*pfd.PFD{psi},
 		pfd.WithWarmup(pfd.FromTable(ref)),
-		pfd.WithShards(2),
-		pfd.WithViolationHandler(func(v pfd.StreamViolation) { handled.Add(1) }))
+		pfd.WithViolationHandler(func(v pfd.StreamViolation) { handled++ }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,8 +278,8 @@ func TestValidateWarmupSplit(t *testing.T) {
 	if len(liveViolations) != 1 || liveViolations[0].Cell.Row != 21 || liveViolations[0].Expected != "CA" {
 		t.Fatalf("live violations = %+v, want exactly the WA deviation at row 21", liveViolations)
 	}
-	if n := handled.Load(); n != 1 {
-		t.Errorf("handler invocations = %d, want 1 (warm replay suppressed)", n)
+	if handled != 1 {
+		t.Errorf("handler invocations = %d, want 1 (warm replay suppressed)", handled)
 	}
 }
 

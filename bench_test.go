@@ -320,22 +320,21 @@ func BenchmarkRepairDetect(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamCheck measures the sharded streaming engine on the
-// T13-scale transcript stream at 1/4/8 shards, with one producer
-// goroutine per shard (the pattern-match phase runs producer-side; the
-// consensus state is shard-partitioned). Reported tuples/s is the
-// engine's end-to-end throughput including the Close drain. Speedup
-// over shards1 requires actual cores — on a single-CPU runner the
-// curve is flat by construction.
+// BenchmarkStreamCheck measures the streaming engine on the T13-scale
+// transcript stream from 1/4/8 producer goroutines (the pattern-match
+// phase runs producer-side; the fold is serialized under the engine
+// lock). Reported tuples/s is the engine's end-to-end throughput.
+// Speedup over one producer requires actual cores — on a single-CPU
+// runner the curve is flat by construction.
 func BenchmarkStreamCheck(b *testing.B) {
 	t, _ := benchTable(b, "T13")
 	tuples := benchutil.TableTuples(t)
 	pfds := benchutil.StreamPFDs()
-	for _, shards := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("shards%d", shards), func(b *testing.B) {
+	for _, producers := range []int{1, 4, 8} {
+		b.Run(fmt.Sprintf("producers%d", producers), func(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				benchutil.RunStreamPass(pfds, tuples, shards)
+				benchutil.RunStreamPass(pfds, tuples, producers)
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(len(tuples)*b.N)/b.Elapsed().Seconds(), "tuples/s")

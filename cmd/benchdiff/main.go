@@ -30,7 +30,7 @@
 // absorbs same-class CPU variance, but a baseline generated on very
 // different hardware can false-fail (or mask) the gate. The
 // discovery/ and stream/ entries are additionally CORE-COUNT
-// sensitive (worker pools and shard goroutines scale with
+// sensitive (worker pools and stream producers scale with
 // GOMAXPROCS), so the committed baseline must come from hardware no
 // faster than the CI runners — never from a many-core dev box.
 // benchdiff prints both snapshots' Go version and CPU count to make

@@ -12,8 +12,8 @@
 // in about a minute on a laptop.
 //
 // The extra experiment "bench" times the hot paths (compiled pattern
-// matchers, violation detection, streaming-engine throughput at 1/4/8
-// shards, out-of-core vs in-memory discovery on T13, full discovery
+// matchers, violation detection, streaming-engine throughput from
+// 1/4/8 producers, out-of-core vs in-memory discovery on T13, full discovery
 // per dataset) and writes a machine-readable snapshot (-benchout,
 // default BENCH_PR9.json; schema in internal/benchfmt) so the
 // performance trajectory is tracked across PRs. -micro trims the discovery block to the gated T13 workload;

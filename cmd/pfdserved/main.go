@@ -1,8 +1,8 @@
 // Command pfdserved is the multi-tenant PFD validation daemon: a
-// single binary serving the /v1 HTTP API over the sharded streaming
-// engine. Each tenant carries its own hot-reloadable ruleset and
-// isolated validation stream; reads answer in the same versioned
-// pfd.Report envelope that `pfdstream -json` emits.
+// single binary serving the /v1 HTTP API over the streaming engine.
+// Each tenant carries its own hot-reloadable ruleset and isolated
+// validation stream; reads answer in the same versioned pfd.Report
+// envelope that `pfdstream -json` emits.
 //
 // Configuration comes from flags, or from PFDSERVED_* environment
 // variables with the same spellings (-max-tenants ↔

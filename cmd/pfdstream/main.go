@@ -1,14 +1,14 @@
 // Command pfdstream validates a tuple stream on stdin against PFDs,
-// using the sharded streaming engine (internal/stream) at configurable
-// parallelism. The rules come from a saved ruleset artifact (-rules,
-// written by `pfd discover -rules`) or are mined on the fly from a
-// trusted reference batch (-ref); with both, the artifact supplies the
-// rules and the reference only warms the group state.
+// using the streaming engine (internal/stream). The rules come from a
+// saved ruleset artifact (-rules, written by `pfd discover -rules`) or
+// are mined on the fly from a trusted reference batch (-ref); with
+// both, the artifact supplies the rules and the reference only warms
+// the group state.
 //
 // Usage:
 //
 //	pfdstream -ref reference.csv [-in stream.csv] [-format csv|jsonl]
-//	          [-shards N] [-workers N] [-warm]
+//	          [-workers N] [-warm]
 //	          [-quiet] [-json] [-k 5] [-delta 0.05] [-coverage 0.10]
 //	          [-lhs 1] < stream
 //	pfdstream -rules r.pfd [-ref reference.csv] [flags] < stream
@@ -17,7 +17,11 @@
 // snapshot written by `pfd discover -save-table`, which loads in one
 // sequential read instead of CSV parse + intern — is mined offline
 // with the Figure 4 discovery algorithm; the resulting PFDs then guard
-// the stream through pfd.Validate. With -warm (the default) the reference
+// the stream through pfd.Validate, from one producer goroutine unless
+// -workers asks for more: one producer numbers rows in input order, so
+// two runs over the same input print the same findings; several
+// producers scale the pattern matching but number rows in arrival
+// order. With -warm (the default) the reference
 // rows are folded into the engine first, so group consensus exists
 // before the first live tuple (-rules without -ref has no reference to
 // warm from). The live stream comes from stdin, or from a file with
@@ -50,9 +54,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"pfd"
@@ -63,8 +64,7 @@ func main() {
 	rulesPath := flag.String("rules", "", "ruleset artifact to validate against (skips mining)")
 	in := flag.String("in", "", "input stream file (default: stdin)")
 	format := flag.String("format", "csv", "input format: csv (header row) or jsonl")
-	shards := flag.Int("shards", 0, "state shards (0 = GOMAXPROCS)")
-	workers := flag.Int("workers", 0, "producer goroutines (0 = shard count)")
+	workers := flag.Int("workers", 1, "producer goroutines (more than 1 numbers rows in arrival order, not input order)")
 	warm := flag.Bool("warm", true, "fold the reference rows in before validating")
 	quiet := flag.Bool("quiet", false, "suppress per-violation lines")
 	jsonOut := flag.Bool("json", false, "emit the final report as JSON on stdout (suppresses per-violation lines)")
@@ -77,10 +77,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pfdstream: -ref or -rules is required")
 		flag.Usage()
 		os.Exit(2)
-	}
-
-	if *shards <= 0 {
-		*shards = runtime.GOMAXPROCS(0)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -151,10 +147,9 @@ func main() {
 	// dirty row in the *reference* would otherwise flag — and spam — a
 	// perfectly clean live stream. They are tallied separately and
 	// summarized once. Warm-replay violations never reach the handler:
-	// Validate suppresses delivery until the live phase starts.
-	var liveViolations atomic.Int64
-	var retroSignals atomic.Int64
-	var printMu sync.Mutex
+	// Validate suppresses delivery until the live phase starts. The
+	// engine never overlaps handler calls, so the handler needs no lock.
+	var liveViolations, retroSignals int64
 	var jsonFindings []pfd.ReportFinding // -json: live findings, handler-collected
 	out := bufio.NewWriter(os.Stdout)
 	defer out.Flush()
@@ -164,12 +159,8 @@ func main() {
 		warmRows = refTable.NumRows()
 	}
 
-	nw := *workers
-	if nw <= 0 {
-		nw = *shards
-	}
+	nw := max(*workers, 1)
 	opts := []pfd.StreamOption{
-		pfd.WithShards(*shards),
 		pfd.WithWorkers(nw),
 		// All modes consume violations through the handler: retaining
 		// them in the engine (which would also keep every retroactive
@@ -178,21 +169,17 @@ func main() {
 		pfd.WithoutViolationLog(),
 		pfd.WithViolationHandler(func(v pfd.StreamViolation) {
 			if !v.NewTuple {
-				retroSignals.Add(1)
+				retroSignals++
 				return
 			}
-			liveViolations.Add(1)
+			liveViolations++
 			if *jsonOut {
-				printMu.Lock()
-				defer printMu.Unlock()
 				jsonFindings = append(jsonFindings, pfd.FindingOf(v, warmRows))
 				return
 			}
 			if *quiet {
 				return
 			}
-			printMu.Lock()
-			defer printMu.Unlock()
 			if v.Expected != "" {
 				fmt.Fprintf(out, "row %d: %s should be %q (by %s)\n",
 					v.Cell.Row-warmRows, v.Cell.Col, v.Expected, v.PFD.Embedded())
@@ -211,7 +198,7 @@ func main() {
 	val, err := rules.Validate(ctx, clock, opts...)
 	// Throughput is a live-phase number: the warm replay happens inside
 	// Validate, so time from when the live source was first iterated
-	// (i.e. after the warm barrier), not from before Validate.
+	// (i.e. after the warm replay), not from before Validate.
 	elapsed := time.Since(start)
 	if !clock.start.IsZero() {
 		elapsed = time.Since(clock.start)
@@ -224,7 +211,7 @@ func main() {
 	liveRows := val.LiveRows()
 	tps := float64(liveRows) / elapsed.Seconds()
 	if *jsonOut {
-		rep := buildReport(rules.Name, val, elapsed, *shards, nw, retroSignals.Load(), jsonFindings)
+		rep := buildReport(rules.Name, val, elapsed, nw, retroSignals, jsonFindings)
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rep); err != nil {
@@ -234,13 +221,13 @@ func main() {
 	}
 	out.Flush()
 	fmt.Fprintf(os.Stderr,
-		"pfdstream: checked %d tuples in %s (%.0f tuples/sec, %d shards, %d workers): %d violations\n",
-		liveRows, elapsed.Round(time.Millisecond), tps, *shards, nw, liveViolations.Load())
-	if n := retroSignals.Load(); n > 0 {
+		"pfdstream: checked %d tuples in %s (%.0f tuples/sec, %d workers): %d violations\n",
+		liveRows, elapsed.Round(time.Millisecond), tps, nw, liveViolations)
+	if n := retroSignals; n > 0 {
 		fmt.Fprintf(os.Stderr,
 			"pfdstream: %d retroactive signals (earlier tuples in disagreeing groups are suspect; not counted as live violations)\n", n)
 	}
-	if liveViolations.Load() > 0 {
+	if liveViolations > 0 {
 		os.Exit(1)
 	}
 }
@@ -248,17 +235,15 @@ func main() {
 // buildReport assembles the -json report — the versioned pfd.Report
 // envelope the pfdserved API also speaks — from a finished validation
 // and the handler-collected live findings (retroactive signals are a
-// count, for the reasons the command doc explains). The findings are
-// sorted here: the handler runs on shard workers, so arrival order is
-// nondeterministic.
-func buildReport(name string, val *pfd.Validation, elapsed time.Duration, shards, workers int, retro int64, findings []pfd.ReportFinding) *pfd.Report {
+// count, for the reasons the command doc explains), with the findings
+// in the report's canonical order (Report.Sort).
+func buildReport(name string, val *pfd.Validation, elapsed time.Duration, workers int, retro int64, findings []pfd.ReportFinding) *pfd.Report {
 	rep := pfd.NewReport(name)
 	rep.Rows = val.Rows()
 	rep.WarmRows = val.WarmRows()
 	rep.LiveRows = val.LiveRows()
 	rep.LiveViolations = len(findings)
 	rep.RetroSignals = retro
-	rep.Shards = shards
 	rep.Workers = workers
 	rep.SetTiming(elapsed)
 	rep.Violations = append(rep.Violations, findings...)

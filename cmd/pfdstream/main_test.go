@@ -1,12 +1,17 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,12 +21,74 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
+// TestMain runs the command itself instead of the tests when
+// PFDSTREAM_RUN_MAIN is set, so a test can drive pfdstream as a
+// subprocess of the test binary.
+func TestMain(m *testing.M) {
+	if os.Getenv("PFDSTREAM_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestDefaultRunsAgree pins that pfdstream numbers rows in input order
+// by default: two default runs over the same stream print identical
+// findings, and the same findings as an explicit -workers 1 run.
+func TestDefaultRunsAgree(t *testing.T) {
+	dir := t.TempDir()
+	rules := filepath.Join(dir, "rules.txt")
+	if err := os.WriteFile(rules, []byte(`Zip([zip = (\D{3})\D{2}] -> [city = _])`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Colliding zip-prefix groups with 10% wrong cities: which tuple of
+	// a group is the minority depends on the order the rows are folded.
+	var csv strings.Builder
+	csv.WriteString("zip,city\n")
+	r := rand.New(rand.NewSource(29))
+	zones := [][2]string{{"900", "Los Angeles"}, {"606", "Chicago"}, {"100", "New York"}, {"331", "Miami"}}
+	for i := 0; i < 20000; i++ {
+		z := zones[r.Intn(len(zones))]
+		city := z[1]
+		if r.Intn(10) == 0 {
+			city = zones[r.Intn(len(zones))][1]
+		}
+		fmt.Fprintf(&csv, "%s%02d,%s\n", z[0], r.Intn(100), city)
+	}
+	in := filepath.Join(dir, "stream.csv")
+	if err := os.WriteFile(in, []byte(csv.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run := func(extra ...string) string {
+		t.Helper()
+		cmd := exec.Command(os.Args[0], append([]string{"-rules", rules, "-in", in}, extra...)...)
+		cmd.Env = append(os.Environ(), "PFDSTREAM_RUN_MAIN=1")
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("pfdstream %v: err = %v, want exit status 1 (violations found)\n%s", extra, err, stderr.String())
+		}
+		return stdout.String()
+	}
+	first := run()
+	if strings.Count(first, "\n") < 100 {
+		t.Fatalf("default run printed %d findings; test is vacuous", strings.Count(first, "\n"))
+	}
+	if second := run(); second != first {
+		t.Fatal("two default runs printed different findings")
+	}
+	if one := run("-workers", "1"); one != first {
+		t.Fatal("the default run and -workers 1 printed different findings")
+	}
+}
+
 // TestReportGolden pins the -json report shape: a validation run with
 // fixed rules, fixed stream, and fixed elapsed time must marshal
 // byte-identically to the committed golden file (buildReport sorts the
-// handler-collected findings, so shard scheduling cannot reorder
-// them), and its findings must equal the sequential reference
-// Checker's.
+// handler-collected findings into the report's order), and its findings
+// must equal the sequential reference Checker's.
 func TestReportGolden(t *testing.T) {
 	rules := pfd.NewRuleset("golden",
 		pfd.MustParsePFD(`Zip([zip = (\D{3})\D{2}] -> [city = _])`),
@@ -51,7 +118,7 @@ func TestReportGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep := buildReport("golden", val, 250*time.Millisecond, 4, 2, 3, findings)
+	rep := buildReport("golden", val, 250*time.Millisecond, 2, 3, findings)
 	if got, want := fmt.Sprint(rep.Violations), fmt.Sprint(checkerFindings(t, rules, warm, live)); got != want {
 		t.Errorf("engine findings %s, reference Checker %s", got, want)
 	}
@@ -102,7 +169,7 @@ func TestReportCountsConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := buildReport("counts", val, time.Second, 1, 1, 0, findings)
+	rep := buildReport("counts", val, time.Second, 1, 0, findings)
 	if rep.Rows != 9 || rep.WarmRows != 0 || rep.LiveRows != 9 {
 		t.Errorf("row counts: %+v", rep)
 	}

@@ -90,8 +90,7 @@ func ExampleValidate() {
 	stream := strings.NewReader("zip,state\n90001,CA\n90002,CA\n90003,WA\n")
 
 	val, err := pfd.Validate(context.Background(),
-		pfd.FromCSV("stream", stream), []*pfd.PFD{psi},
-		pfd.WithShards(4))
+		pfd.FromCSV("stream", stream), []*pfd.PFD{psi})
 	if err != nil {
 		panic(err)
 	}
@@ -147,8 +146,8 @@ func ExampleImplies() {
 }
 
 // ExampleNewStreamEngineContext validates a stream against a mined
-// constraint through the manually driven sharded engine:
-// concurrent-producer Submit and a deterministic snapshot report.
+// constraint through the manually driven engine: concurrent-producer
+// Submit and a deterministic snapshot report.
 // (Source-driven runs should use Validate instead.)
 func ExampleNewStreamEngineContext() {
 	psi, _ := pfd.NewPFD("Zip", []string{"zip"}, "state",
@@ -157,7 +156,7 @@ func ExampleNewStreamEngineContext() {
 			RHS: pfd.Wildcard(),
 		},
 	)
-	eng := pfd.NewStreamEngineContext(context.Background(), []*pfd.PFD{psi}, pfd.WithShards(4))
+	eng := pfd.NewStreamEngineContext(context.Background(), []*pfd.PFD{psi})
 	for _, t := range []map[string]string{
 		{"zip": "90001", "state": "CA"},
 		{"zip": "90002", "state": "CA"},

@@ -57,14 +57,13 @@ func main() {
 	}()
 
 	// Validate folds the reference in (violation delivery suppressed
-	// during the warm replay), then checks the live stream with the
-	// sharded engine. The default single producer keeps row ids in
-	// stream order, so the report below is deterministic.
+	// during the warm replay), then checks the live stream. The default
+	// single producer keeps row ids in stream order, so the report below
+	// is deterministic.
 	val, err := pfd.Validate(ctx,
 		pfd.FromTuples("live", []string{"zip", "state"}, feed),
 		disc.PFDs(),
 		pfd.WithWarmup(pfd.FromTable(ref)),
-		pfd.WithShards(4),
 	)
 	if err != nil {
 		panic(err)

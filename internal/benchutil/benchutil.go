@@ -43,21 +43,14 @@ func TableTuples(t *relation.Table) []map[string]string {
 	return out
 }
 
-// RunStreamPass pushes every tuple through a fresh engine with one
-// producer goroutine per shard (the match phase runs producer-side)
-// and waits for the Close drain.
-func RunStreamPass(pfds []*pfd.PFD, tuples []map[string]string, shards int) {
-	eng := stream.New(pfds, stream.Options{Shards: shards, BatchSize: 256, FlushInterval: -1})
+// RunStreamPass pushes every tuple through a fresh engine from the
+// given number of producer goroutines, each submitting one contiguous
+// slice of the stream, and closes the engine.
+func RunStreamPass(pfds []*pfd.PFD, tuples []map[string]string, producers int) {
+	eng := stream.New(pfds, stream.Options{})
 	var wg sync.WaitGroup
-	chunk := (len(tuples) + shards - 1) / shards
-	for p := 0; p < shards; p++ {
-		lo, hi := p*chunk, (p+1)*chunk
-		if hi > len(tuples) {
-			hi = len(tuples)
-		}
-		if lo >= hi {
-			continue
-		}
+	chunk := (len(tuples) + producers - 1) / producers
+	for lo := 0; lo < len(tuples); lo += chunk {
 		wg.Add(1)
 		go func(part []map[string]string) {
 			defer wg.Done()
@@ -66,7 +59,7 @@ func RunStreamPass(pfds []*pfd.PFD, tuples []map[string]string, shards int) {
 					panic(err)
 				}
 			}
-		}(tuples[lo:hi])
+		}(tuples[lo:min(lo+chunk, len(tuples))])
 	}
 	wg.Wait()
 	eng.Close()

@@ -99,7 +99,7 @@ type RulesetRecord struct {
 
 // IngestRecord journals one accepted ingest batch. Accepted is the
 // batch's own tuple count; the remaining counters are the tenant's
-// cumulative totals observed behind the batch's snapshot barrier, so
+// cumulative totals observed after the batch was folded, so
 // replay can restore exact counts without replaying tuples. Digest is
 // an order-sensitive XXH64 fold of the batch's tuples — an audit
 // anchor tying the journal to the bytes that were acknowledged.

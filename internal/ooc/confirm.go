@@ -3,7 +3,6 @@ package ooc
 import (
 	"context"
 	"sort"
-	"sync/atomic"
 
 	"pfd/internal/discovery"
 	"pfd/internal/kernel"
@@ -25,13 +24,13 @@ type RuleHealth struct {
 	Active bool `json:"active"`
 }
 
-// confirm replays every chunk through the sharded stream engine with
+// confirm replays every chunk through the stream engine with
 // the discovered rules loaded, counting per-rule streaming violations,
 // and computes each rule's exact coverage with the bitset kernels —
 // per chunk, so no full-table materialization. It annotates only: the
 // rule set is already exact, this pass attaches the evidence the
 // Maintainer seeds from.
-func (d *driver) confirm(ctx context.Context, deps []*discovery.Dependency, shards int) ([]RuleHealth, int, error) {
+func (d *driver) confirm(ctx context.Context, deps []*discovery.Dependency) ([]RuleHealth, int, error) {
 	if len(deps) == 0 {
 		return nil, 0, nil
 	}
@@ -41,13 +40,12 @@ func (d *driver) confirm(ctx context.Context, deps []*discovery.Dependency, shar
 		pfds[i] = dep.PFD
 		idx[dep.PFD] = i
 	}
-	viol := make([]atomic.Int64, len(deps))
+	viol := make([]int64, len(deps)) // the engine never overlaps handler calls
 	eng := stream.NewContext(ctx, pfds, stream.Options{
-		Shards:            shards,
 		DiscardViolations: true,
 		OnViolation: func(v pfd.StreamViolation) {
 			if v.NewTuple {
-				viol[idx[v.PFD]].Add(1)
+				viol[idx[v.PFD]]++
 			}
 		},
 	})
@@ -73,7 +71,7 @@ func (d *driver) confirm(ctx context.Context, deps []*discovery.Dependency, shar
 	rep := eng.Close()
 	health := make([]RuleHealth, len(deps))
 	for i, dep := range deps {
-		v := viol[i].Load()
+		v := viol[i]
 		evidence := support[i]
 		if evidence == 0 {
 			evidence = 1

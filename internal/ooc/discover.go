@@ -52,26 +52,21 @@ func Discover(ctx context.Context, src source.Source, opt Options) (*Result, err
 		return res, nil
 	}
 
-	// Mine the sample in memory. Under VerifySample its dependencies
-	// become the candidate screen; under VerifyFull they are estimates
-	// only (recorded in Stats) and cannot affect the exact result.
+	// Under VerifySample the dependencies mined in memory from the
+	// sample become the candidate screen. A sample that is the whole
+	// input (or disabled) screens nothing, and VerifyFull's walk is
+	// exact without one, so neither mines it.
 	var screen map[string]bool
-	if len(smp.rows) > 0 && len(smp.rows) < merger.Rows() {
+	if opt.Verify == VerifySample && len(smp.rows) > 0 && len(smp.rows) < merger.Rows() {
 		st := smp.table(res.Name, merger.Cols())
 		sres, err := discovery.DiscoverContext(ctx, st, opt.Params, nil)
 		if err != nil {
 			return res, err
 		}
-		res.Stats.SampleDeps = len(sres.Dependencies)
-		if opt.Verify == VerifySample {
-			screen = make(map[string]bool, len(sres.Dependencies))
-			for _, dep := range sres.Dependencies {
-				screen[dep.Embedded()] = true
-			}
+		screen = make(map[string]bool, len(sres.Dependencies))
+		for _, dep := range sres.Dependencies {
+			screen[dep.Embedded()] = true
 		}
-	} else if opt.Verify == VerifySample {
-		// Sample is the whole input (or disabled): screen nothing.
-		opt.Verify = VerifyFull
 	}
 
 	d := &driver{
@@ -93,7 +88,7 @@ func Discover(ctx context.Context, src source.Source, opt Options) (*Result, err
 	res.Dependencies = deps
 
 	if !opt.SkipConfirm {
-		health, rows, err := d.confirm(ctx, deps, opt.Shards)
+		health, rows, err := d.confirm(ctx, deps)
 		if err != nil {
 			return res, err
 		}

@@ -29,15 +29,13 @@ func depPFDs(deps []*discovery.Dependency) []*pfd.PFD {
 	return out
 }
 
-// observe streams tb through eng, whose violation callback feeds m,
-// and accounts its rows; the Snapshot barrier returns once every
-// violation of tb has landed.
+// observe streams tb through eng, whose violation callback feeds m
+// before SubmitTable returns, and accounts its rows.
 func observe(t *testing.T, m *Maintainer, eng *stream.Engine, tb *relation.Table) {
 	t.Helper()
 	if err := eng.SubmitTable(tb); err != nil {
 		t.Fatal(err)
 	}
-	eng.Snapshot()
 	m.ObserveRows(tb.NumRows())
 }
 
@@ -45,7 +43,6 @@ func TestMaintainerFoldAndDemote(t *testing.T) {
 	deps, params := zipRules(t)
 	m := NewMaintainer(depPFDs(deps), params)
 	eng := stream.New(depPFDs(deps), stream.Options{
-		Shards:            2,
 		DiscardViolations: true,
 		OnViolation: func(v pfd.StreamViolation) {
 			if v.NewTuple {

@@ -38,9 +38,8 @@ type VerifyMode uint8
 
 const (
 	// VerifyFull evaluates every lattice candidate that survives the
-	// dictionary-level coverage bound. The sample, when present, only
-	// contributes estimates; results are byte-identical to in-memory
-	// discovery.
+	// dictionary-level coverage bound; the sample is not mined.
+	// Results are byte-identical to in-memory discovery.
 	VerifyFull VerifyMode = iota
 	// VerifySample screens the lattice down to candidates that sample
 	// mining surfaced, then evaluates those exactly. Candidates the
@@ -67,9 +66,8 @@ type Options struct {
 	// define their own chunk boundaries. 0 means DefaultChunkRows.
 	ChunkRows int
 	// SampleRows is the target size of the deterministic systematic
-	// sample mined for candidate estimates (and, under VerifySample,
-	// the candidate screen). 0 means DefaultSampleRows; negative
-	// disables sampling.
+	// sample that VerifySample mines for its candidate screen. 0 means
+	// DefaultSampleRows; negative disables sampling.
 	SampleRows int
 	// MemLimit caps the bytes of chunk data kept resident; beyond it,
 	// ingested chunks spill to .pfdt snapshots in SpillDir. It also
@@ -85,9 +83,6 @@ type Options struct {
 	// each discovered rule with exact support and streaming-violation
 	// counts (Result.Health).
 	SkipConfirm bool
-	// Shards is the stream-engine shard count for the confirm pass.
-	// 0 means the engine default.
-	Shards int
 }
 
 // DefaultChunkRows bounds driver-side chunking when Options.ChunkRows
@@ -107,9 +102,8 @@ type Stats struct {
 	SpilledBytes  int64 // bytes in spill files
 	PeakResident  int64 // peak estimated bytes of resident chunk data
 
-	SampleRows   int   // rows in the mined sample
+	SampleRows   int   // rows in the sample
 	SampleStride int64 // final systematic-sample stride
-	SampleDeps   int   // dependencies mined from the sample
 
 	Candidates    int // lattice candidates considered
 	ScreenedOut   int // dropped by the sample screen (VerifySample)

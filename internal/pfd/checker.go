@@ -34,7 +34,7 @@ type RequiredColumn struct {
 // RequiredColumnRefs returns every column the PFD set references (LHS
 // attributes and RHS attributes), deduplicated in first-reference
 // order, each with the first PFD referencing it. Both the sequential
-// Checker and the sharded stream engine validate tuples against this
+// Checker and the stream engine validate tuples against this
 // list.
 func RequiredColumnRefs(pfds []*PFD) []RequiredColumn {
 	var refs []RequiredColumn
@@ -69,7 +69,7 @@ func (e *MissingColumnError) Error() string {
 
 // GroupState is the running consensus of one LHS-equivalence group —
 // the per-group automaton shared by the sequential Checker and the
-// sharded stream engine (internal/stream): both must raise identical
+// stream engine (internal/stream): both must raise identical
 // signals for identical per-group span sequences.
 type GroupState struct {
 	spans map[string]int // RHS span -> count
@@ -239,7 +239,7 @@ func (c *Checker) Rows() int { return c.rows }
 // the NUL-separated concatenation of its constrained LHS spans — or
 // ok=false when the row does not apply to the tuple. The Checker keys
 // its group state by it; the stream engine builds the same key from its
-// value vector (and shards by it).
+// value vector.
 func LHSKey(p *PFD, tr Row, tuple map[string]string) (string, bool) {
 	var b strings.Builder
 	for j, a := range p.LHS {

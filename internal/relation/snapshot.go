@@ -227,9 +227,11 @@ func loadSnapshotBytes(raw []byte) (*Table, error) {
 		// entry length, then convert the whole region to ONE string and
 		// slice the entries out of it — substrings share the blob's
 		// backing array, so a 100k-entry dictionary costs one allocation
-		// instead of 100k. The value→code lookup is not built at all:
+		// instead of 100k. The value→code lookup is not kept:
 		// column.intern rebuilds it lazily on the first write, and
-		// read-only consumers (detection, warmup) never pay for it.
+		// read-only consumers (detection, warmup) never hold it. A
+		// dictionary that holds a value twice is corrupt: the codes
+		// would then split one value's rows between two groups.
 		c.dict = make([]string, dictLen)
 		start := cur.off
 		pos := start
@@ -247,10 +249,17 @@ func loadSnapshotBytes(raw []byte) (*Table, error) {
 			pos += int(n)
 		}
 		blob := string(body[start:pos])
+		seen := make(map[string]struct{}, dictLen)
 		rel := 0
 		for code := range c.dict {
 			n := int(binary.LittleEndian.Uint32(body[start+rel:]))
-			c.dict[code] = blob[rel+4 : rel+4+n]
+			v := blob[rel+4 : rel+4+n]
+			if _, dup := seen[v]; dup {
+				return nil, fmt.Errorf("%w: column %q: dictionary holds %q twice",
+					ErrSnapshotCorrupt, colName, v)
+			}
+			seen[v] = struct{}{}
+			c.dict[code] = v
 			rel += 4 + n
 		}
 		cur.off = pos

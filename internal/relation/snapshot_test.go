@@ -229,6 +229,21 @@ func TestSnapshotCorruptStructure(t *testing.T) {
 	tamper("code out of range", func(raw []byte) {
 		binary.LittleEndian.PutUint32(raw[len(raw)-8:], 0x7fffffff)
 	}, ErrSnapshotCorrupt)
+	tamper("value twice in a dictionary", func(raw []byte) {
+		copy(raw, dupDictSnapshot()) // same length, so the re-checksum applies
+	}, ErrSnapshotCorrupt)
+}
+
+// dupDictSnapshot is snapSampleTable's snapshot with the zip dictionary
+// entry "90002" rewritten to "90001", which the dictionary already
+// holds, and the checksum fixed so only the structural check can
+// reject it.
+func dupDictSnapshot() []byte {
+	raw := mustSnapshotBytes(snapSampleTable())
+	i := bytes.Index(raw, []byte("90002"))
+	copy(raw[i:], "90001")
+	binary.LittleEndian.PutUint64(raw[8:16], xxh64(raw[snapshotHeaderSize:]))
+	return raw
 }
 
 func FuzzLoadSnapshot(f *testing.F) {
@@ -236,12 +251,23 @@ func FuzzLoadSnapshot(f *testing.F) {
 	f.Add([]byte("PFDT"))
 	f.Add([]byte{})
 	f.Add(mustSnapshotBytes(New("E", "a")))
+	f.Add(dupDictSnapshot())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Must never panic; on success the table must be internally
-		// consistent enough to render every cell.
+		// consistent enough to render every cell, and every dictionary
+		// must hold each value once.
 		tb, err := loadSnapshotBytes(data)
 		if err != nil {
 			return
+		}
+		for ci := range tb.cols {
+			seen := map[string]bool{}
+			for _, v := range tb.cols[ci].dict {
+				if seen[v] {
+					t.Fatalf("column %q: accepted a dictionary holding %q twice", tb.Cols[ci], v)
+				}
+				seen[v] = true
+			}
 		}
 		for r := 0; r < tb.NumRows(); r++ {
 			for ci := range tb.Cols {

@@ -42,14 +42,12 @@ func (c *column) intern(v string) uint32 {
 	return code
 }
 
-// rebuildLookup derives the value→code map from the dictionary,
-// keeping the first code on (malformed-input) duplicates.
+// rebuildLookup derives the value→code map from the dictionary, which
+// holds each value once.
 func (c *column) rebuildLookup() {
 	c.lookup = make(map[string]uint32, len(c.dict))
 	for code, v := range c.dict {
-		if _, dup := c.lookup[v]; !dup {
-			c.lookup[v] = uint32(code)
-		}
+		c.lookup[v] = uint32(code)
 	}
 }
 
@@ -246,7 +244,8 @@ func (t *Table) Clone() *Table {
 // projected tables together from a merged global dictionary plus
 // remapped chunk code vectors without ever re-interning a string.
 //
-// The dict and codes slices are adopted, not copied: the caller must
+// Each dictionary must hold each value once. The dict and codes
+// slices are adopted, not copied: the caller must
 // not mutate them afterwards, and the table must be treated as
 // read-only (Append/Set would alias the caller's dictionary). Counts
 // are rebuilt from the codes; the value→code lookup is left nil and

@@ -19,10 +19,6 @@ const EnvPrefix = "PFDSERVED_"
 // PFDSERVED_MAX_TENANTS). Flags win over environment variables, which
 // win over the defaults — main applies ApplyEnv before flag.Parse, so
 // the precedence falls out of ordinary flag registration.
-//
-// The engine knob -shards deliberately shares its name and meaning
-// with pfdstream: one spelling across every entry point to the
-// streaming engine.
 type Config struct {
 	// Addr is the listen address (flag -addr).
 	Addr string
@@ -37,11 +33,8 @@ type Config struct {
 	// idle eviction or a restart does not lose group consensus (flag
 	// -ref; same snapshot format `pfd discover -save-table` writes).
 	Ref string
-	// Shards is the per-tenant engine shard count (flag -shards;
-	// 0 = GOMAXPROCS, as in pfdstream).
-	Shards int
 	// IdleTimeout evicts a tenant's engine after this much ingest
-	// inactivity, releasing its shard goroutines and group state; the
+	// inactivity, releasing its group state; the
 	// ruleset and counters survive and the next ingest lazily restarts
 	// the engine (flag -idle; <= 0 disables eviction).
 	IdleTimeout time.Duration
@@ -101,7 +94,6 @@ func (c *Config) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.Rules, "rules", c.Rules, "ruleset artifact to preload into -tenant at boot ($"+EnvVar("rules")+")")
 	fs.StringVar(&c.Tenant, "tenant", c.Tenant, "tenant the -rules artifact preloads into ($"+EnvVar("tenant")+")")
 	fs.StringVar(&c.Ref, "ref", c.Ref, ".pfdt warmup snapshot replayed into -tenant's engine generations ($"+EnvVar("ref")+")")
-	fs.IntVar(&c.Shards, "shards", c.Shards, "state shards per tenant engine, 0 = GOMAXPROCS ($"+EnvVar("shards")+")")
 	fs.DurationVar(&c.IdleTimeout, "idle", c.IdleTimeout, "evict idle tenant engines after this long, <=0 never ($"+EnvVar("idle")+")")
 	fs.DurationVar(&c.DrainTimeout, "drain", c.DrainTimeout, "shutdown: how long to wait for in-flight requests ($"+EnvVar("drain")+")")
 	fs.IntVar(&c.MaxTenants, "max-tenants", c.MaxTenants, "tenant registry cap, <=0 unlimited ($"+EnvVar("max-tenants")+")")
@@ -162,7 +154,6 @@ func (c *Config) ApplyEnv(lookup func(string) (string, bool)) error {
 		str("rules", &c.Rules),
 		str("tenant", &c.Tenant),
 		str("ref", &c.Ref),
-		num("shards", &c.Shards),
 		dur("idle", &c.IdleTimeout),
 		dur("drain", &c.DrainTimeout),
 		num("max-tenants", &c.MaxTenants),

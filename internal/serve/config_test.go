@@ -29,7 +29,7 @@ func TestApplyEnv(t *testing.T) {
 	cfg := DefaultConfig()
 	err := cfg.ApplyEnv(lookupIn(map[string]string{
 		"PFDSERVED_ADDR":        "0.0.0.0:9000",
-		"PFDSERVED_SHARDS":      "4",
+		"PFDSERVED_RING":        "4",
 		"PFDSERVED_IDLE":        "90s",
 		"PFDSERVED_MAX_TENANTS": "7",
 		"UNRELATED":             "ignored",
@@ -37,7 +37,7 @@ func TestApplyEnv(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Addr != "0.0.0.0:9000" || cfg.Shards != 4 || cfg.IdleTimeout != 90*time.Second || cfg.MaxTenants != 7 {
+	if cfg.Addr != "0.0.0.0:9000" || cfg.Ring != 4 || cfg.IdleTimeout != 90*time.Second || cfg.MaxTenants != 7 {
 		t.Fatalf("env not applied: %+v", cfg)
 	}
 	// Untouched fields keep their defaults.
@@ -48,7 +48,7 @@ func TestApplyEnv(t *testing.T) {
 
 func TestApplyEnvMalformed(t *testing.T) {
 	for _, env := range []map[string]string{
-		{"PFDSERVED_SHARDS": "four"},
+		{"PFDSERVED_RING": "four"},
 		{"PFDSERVED_IDLE": "soon"},
 		{"PFDSERVED_MAX_TENANTS": "1e3"},
 	} {
@@ -65,24 +65,24 @@ func TestApplyEnvMalformed(t *testing.T) {
 func TestFlagsBeatEnv(t *testing.T) {
 	cfg := DefaultConfig()
 	if err := cfg.ApplyEnv(lookupIn(map[string]string{
-		"PFDSERVED_ADDR":   "env:1",
-		"PFDSERVED_SHARDS": "2",
-		"PFDSERVED_RING":   "99",
+		"PFDSERVED_ADDR":        "env:1",
+		"PFDSERVED_MAX_TENANTS": "2",
+		"PFDSERVED_RING":        "99",
 	})); err != nil {
 		t.Fatal(err)
 	}
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	cfg.RegisterFlags(fs)
-	if err := fs.Parse([]string{"-addr", "flag:2", "-shards", "8"}); err != nil {
+	if err := fs.Parse([]string{"-addr", "flag:2", "-max-tenants", "8"}); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Addr != "flag:2" || cfg.Shards != 8 {
+	if cfg.Addr != "flag:2" || cfg.MaxTenants != 8 {
 		t.Fatalf("flags did not beat env: %+v", cfg)
 	}
 	if cfg.Ring != 99 {
 		t.Fatalf("env without a flag lost: Ring = %d, want 99", cfg.Ring)
 	}
-	if cfg.MaxTenants != DefaultConfig().MaxTenants {
+	if cfg.IdleTimeout != DefaultConfig().IdleTimeout {
 		t.Fatalf("default lost: %+v", cfg)
 	}
 }

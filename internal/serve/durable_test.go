@@ -103,7 +103,7 @@ func TestDurableGracefulRestartRecoversEverything(t *testing.T) {
 // taken right after an acknowledged ingest — with no drain, no final
 // compaction — must replay to at least everything that was
 // acknowledged. The journal-implied counters are exact because every
-// ack is journaled behind a snapshot barrier.
+// ack is journaled after its batch was folded.
 func TestDurableCrashImageRecoversAcknowledged(t *testing.T) {
 	dir := t.TempDir()
 	s1, hs1 := newDurableServer(t, dir, nil)

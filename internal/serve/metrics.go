@@ -62,10 +62,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 					return "0"
 				}
 			}},
-		{"pfd_tenant_backlog_batches", "gauge", "Batches queued on shard channels, not yet applied.",
-			func(st tenantStatus) string { return fmt.Sprintf("%d", st.BacklogBatches) }},
-		{"pfd_tenant_backlog_updates", "gauge", "Routed updates sitting in partial batches.",
-			func(st tenantStatus) string { return fmt.Sprintf("%d", st.BacklogBuffer) }},
 		{"pfd_tenant_tuples_per_sec", "gauge", "Throughput of the running engine generation.",
 			func(st tenantStatus) string { return fmt.Sprintf("%.3f", st.TuplesPerSec) }},
 		{"pfd_tenant_rules", "gauge", "Rules in the tenant's active ruleset.",

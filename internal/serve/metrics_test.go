@@ -15,8 +15,6 @@ var (
 		"pfd_durability_state",
 		"pfd_http_requests_total",
 		"pfd_server_state",
-		"pfd_tenant_backlog_batches",
-		"pfd_tenant_backlog_updates",
 		"pfd_tenant_engine_state",
 		"pfd_tenant_live_violations_total",
 		"pfd_tenant_retro_signals_total",

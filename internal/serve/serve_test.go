@@ -402,7 +402,6 @@ func TestConcurrentTenantsMatchBaseline(t *testing.T) {
 
 	for i := 0; i < tenants; i++ {
 		name := fmt.Sprintf("t%02d", i)
-		getReport(t, base, name, "/report") // snapshot barrier: all handlers fired
 		rep := getReport(t, base, name, "/violations")
 		if rep.Rows != tbl.NumRows() {
 			t.Errorf("%s: rows = %d, want %d", name, rep.Rows, tbl.NumRows())
@@ -506,10 +505,6 @@ func TestMetricsExposition(t *testing.T) {
 	if code, body := do(t, http.MethodPost, base+"/v1/tenants/acme/tuples", "text/csv", dirtyCSV()); code != http.StatusOK {
 		t.Fatalf("ingest: %d: %s", code, body)
 	}
-
-	// The report endpoint's snapshot barrier guarantees the violation
-	// handler has fired before the scrape reads the counters.
-	getReport(t, base, "acme", "/report")
 
 	code, body := do(t, http.MethodGet, base+"/metrics", "", "")
 	if code != http.StatusOK {

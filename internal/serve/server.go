@@ -1,5 +1,5 @@
 // Package serve implements pfdserved: a single-binary, multi-tenant
-// PFD validation daemon over the sharded streaming engine.
+// PFD validation daemon over the streaming engine.
 //
 // Each tenant is an isolated validation stream — its own ruleset
 // (hot-reloadable, loaded through the Ruleset codecs), its own lazily
@@ -19,8 +19,8 @@
 //     the next starts. Hot reload therefore neither drops nor
 //     double-counts tuples.
 //   - Idle tenants are evicted by a janitor: the engine generation is
-//     drained (counters fold into the tenant's cumulative totals, the
-//     shard goroutines exit), the ruleset stays, and the next ingest
+//     closed (counters fold into the tenant's cumulative totals, the
+//     group state is freed), the ruleset stays, and the next ingest
 //     lazily restarts — at the documented cost of an empty group
 //     consensus.
 //   - Shutdown: SetDraining flips /healthz to 503 and refuses new
@@ -96,8 +96,8 @@ type Server struct {
 func New(cfg Config) (*Server, error) { return NewContext(context.Background(), cfg) }
 
 // NewContext is New with a hard-abort context threaded into every
-// tenant engine: canceling it makes in-flight Submits fail fast and
-// backpressure-stalled producers unblock — the second-SIGTERM path.
+// tenant engine: canceling it makes in-flight Submits fail fast — the
+// second-SIGTERM path.
 // Graceful shutdown never cancels it; it drains instead.
 //
 // With Config.DataDir set, boot first replays the durable state
@@ -333,7 +333,7 @@ func (s *Server) janitor() {
 
 // evictIdle drains engines idle past IdleTimeout, returning how many
 // it evicted. Eviction keeps the ruleset and counters; only the group
-// consensus state and the shard goroutines go.
+// consensus state goes.
 func (s *Server) evictIdle(now time.Time) int {
 	evicted := 0
 	for _, t := range s.snapshotTenants() {
@@ -525,10 +525,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// Write-ahead: journal what the engine accepted before any
 	// acknowledgment — including the prefix of a failed body, which is
 	// in the engine and reported to the client via "accepted". The
-	// barrier report makes the journaled counters exact for this batch.
+	// engine folded every accepted tuple inside its Submit, so the
+	// report's counters are exact for this batch.
 	var rep *pfd.Report
 	if s.dur != nil && accepted > 0 {
-		rep = t.report(true, 0)
+		rep = t.report(0)
 		jerr := s.appendDurable(durable.BatchIngested(durable.IngestRecord{
 			Tenant:         t.name,
 			Digest:         digest.Sum(),
@@ -558,7 +559,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if rep == nil {
-		rep = t.report(false, 0)
+		rep = t.report(0)
 	}
 	rep.Accepted = accepted
 	rep.Violations = rep.Violations[:0] // counts only; GET /report or /violations lists findings
@@ -619,9 +620,9 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such tenant")
 		return
 	}
-	// The report endpoint is the consistent read: it places a snapshot
-	// barrier, so every tuple accepted before this request is counted.
-	writeJSON(w, http.StatusOK, t.report(true, 0))
+	// Every tuple accepted before this request is counted: the engine
+	// folds each tuple before its ingest is acknowledged.
+	writeJSON(w, http.StatusOK, t.report(0))
 }
 
 // handleRuleHealth serves the per-rule maintenance counters: support
@@ -668,7 +669,7 @@ func (s *Server) handleViolations(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
-	writeJSON(w, http.StatusOK, t.report(false, limit))
+	writeJSON(w, http.StatusOK, t.report(limit))
 }
 
 func (s *Server) handleTenantDelete(w http.ResponseWriter, r *http.Request) {

@@ -199,9 +199,8 @@ func (t *tenant) ruleset() *pfd.Ruleset {
 // closeEngineLocked drains the current engine generation and folds its
 // row count — minus the generation's warm-replay rows, which are
 // reference data, not ingest — into rowBase. Violations need no
-// folding: the handler counted them as they fired, and Close's drain
-// delivers any still queued before returning. Caller holds mu for
-// write.
+// folding: the handler counted them as they fired, inside the Submit
+// that raised them. Caller holds mu for write.
 func (t *tenant) closeEngineLocked() {
 	if t.eng == nil {
 		return
@@ -251,9 +250,6 @@ func (t *tenant) startEngineLocked() {
 			t.push(pfd.FindingOf(v, int(warm.Load())-base))
 		}),
 	}
-	if t.cfg.Shards > 0 {
-		opts = append(opts, pfd.WithShards(t.cfg.Shards))
-	}
 	t.eng = pfd.NewStreamEngineContext(t.base, t.rules.PFDs, opts...)
 	t.genWarm = 0
 	if t.ref != nil {
@@ -262,7 +258,6 @@ func (t *tenant) startEngineLocked() {
 			// live without consensus — degraded, not broken.
 			t.cfg.logf("tenant %s: warmup replay failed: %v", t.name, err)
 		} else {
-			t.eng.Snapshot() // barrier: drain warm batches before going live
 			t.genWarm = t.ref.NumRows()
 			warm.Store(int64(t.genWarm))
 		}
@@ -270,10 +265,10 @@ func (t *tenant) startEngineLocked() {
 	live.Store(true)
 	t.engStart = time.Now()
 	if t.genWarm > 0 {
-		t.cfg.logf("tenant %s: engine started (%d rules, %d shards, warmed with %d reference rows)",
-			t.name, len(t.rules.PFDs), t.eng.Shards(), t.genWarm)
+		t.cfg.logf("tenant %s: engine started (%d rules, warmed with %d reference rows)",
+			t.name, len(t.rules.PFDs), t.genWarm)
 	} else {
-		t.cfg.logf("tenant %s: engine started (%d rules, %d shards)", t.name, len(t.rules.PFDs), t.eng.Shards())
+		t.cfg.logf("tenant %s: engine started (%d rules)", t.name, len(t.rules.PFDs))
 	}
 }
 
@@ -366,8 +361,7 @@ func (t *tenant) stop() {
 }
 
 // rows returns the cumulative accepted-tuple count: closed generations
-// plus the live engine. The live part is a cheap counter read, not a
-// snapshot barrier.
+// plus the live engine.
 func (t *tenant) rows() int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -379,8 +373,8 @@ func (t *tenant) rows() int64 {
 }
 
 // push appends a finding to the recent-violations ring. Called from
-// engine shard workers — it must stay cheap and must not call back
-// into the engine.
+// the violation handler, inside Submit under the engine lock — it must
+// stay cheap and must not call back into the engine.
 func (t *tenant) push(f pfd.ReportFinding) {
 	t.ringMu.Lock()
 	if len(t.ring) > 0 {
@@ -414,11 +408,10 @@ func (t *tenant) recent(limit int) []pfd.ReportFinding {
 	return out
 }
 
-// report assembles the tenant's pfd.Report. With barrier set it places
-// a snapshot barrier on the live engine, so the row count reflects
-// everything submitted before the call; without it the counters are
-// read cheaply.
-func (t *tenant) report(barrier bool, limit int) *pfd.Report {
+// report assembles the tenant's pfd.Report. Every tuple is folded,
+// and its violations counted, before its Submit returns, so the report
+// reflects everything acknowledged before the call.
+func (t *tenant) report(limit int) *pfd.Report {
 	r := pfd.NewReport(t.name)
 
 	t.mu.RLock()
@@ -426,15 +419,9 @@ func (t *tenant) report(barrier bool, limit int) *pfd.Report {
 	var engineRows int
 	var elapsed time.Duration
 	if t.eng != nil {
-		if barrier {
-			engineRows = t.eng.Snapshot().Rows
-		} else {
-			engineRows = t.eng.Rows()
-		}
-		engineRows -= t.genWarm // warm-replay rows are reference, not ingest
+		engineRows = t.eng.Rows() - t.genWarm // warm-replay rows are reference, not ingest
 		rows += int64(engineRows)
 		elapsed = time.Since(t.engStart)
-		r.Shards = t.eng.Shards()
 	}
 	t.mu.RUnlock()
 
@@ -465,8 +452,6 @@ type tenantStatus struct {
 	RetroSignals   int64   `json:"retro_signals"`
 	Reloads        int64   `json:"reloads"`
 	TuplesPerSec   float64 `json:"tuples_per_sec"`
-	BacklogBatches int     `json:"backlog_batches"`
-	BacklogBuffer  int     `json:"backlog_buffered"`
 	IdleSec        float64 `json:"idle_sec"`
 }
 
@@ -497,7 +482,6 @@ func (t *tenant) status() tenantStatus {
 	}
 	st.State = t.eng.State().String()
 	st.Rows += int64(t.eng.Rows() - t.genWarm)
-	st.BacklogBatches, st.BacklogBuffer = t.eng.Backlog()
 	if el := time.Since(t.engStart); el > 0 {
 		st.TuplesPerSec = float64(t.eng.Rows()-t.genWarm) / el.Seconds()
 	}

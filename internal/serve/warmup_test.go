@@ -111,9 +111,6 @@ func TestRuleHealthEndpoint(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("ingest: %d: %s", code, body)
 	}
-	// Barrier so the violation handler has fired before reading health.
-	getReport(t, hs.URL, "h", "/report")
-
 	code, body = do(t, http.MethodGet, hs.URL+"/v1/tenants/h/health", "", "")
 	if code != http.StatusOK {
 		t.Fatalf("GET health: %d: %s", code, body)

@@ -1,8 +1,8 @@
 // Package source is the single ingestion layer of the v2 API: every
 // way tuples enter the system — CSV files, JSONL streams, in-memory
 // tables, live channels — is a Source, and every entry point (batch
-// discovery, batch detection, the incremental Checker, the sharded
-// stream engine) consumes Sources instead of growing its own reader.
+// discovery, batch detection, the incremental Checker, the stream
+// engine) consumes Sources instead of growing its own reader.
 //
 // A Source yields tuples as an iter.Seq2[Tuple, error] sequence driven
 // by a context: implementations observe ctx periodically and terminate

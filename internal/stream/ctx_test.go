@@ -8,13 +8,13 @@ import (
 	"testing"
 	"time"
 
-	"pfd/internal/pfd"
+	"pfd/internal/relation"
 	"pfd/internal/testleak"
 )
 
 func TestSubmitAfterCancelReturnsContextError(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	eng := NewContext(ctx, testPFDs(), Options{Shards: 2})
+	eng := NewContext(ctx, testPFDs(), Options{})
 	defer eng.Close()
 
 	if err := eng.Submit(map[string]string{"zip": "90001", "city": "Los Angeles"}); err != nil {
@@ -25,58 +25,13 @@ func TestSubmitAfterCancelReturnsContextError(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("post-cancel Submit = %v, want context.Canceled", err)
 	}
-}
-
-// TestCancelUnblocksBackpressuredProducer wedges every shard worker in
-// a blocking OnViolation callback so the shard channels and the fill
-// buffers saturate, then verifies that cancellation unblocks a
-// producer stalled in Submit's flush path — the promptness guarantee
-// the v2 Validate entry point relies on.
-func TestCancelUnblocksBackpressuredProducer(t *testing.T) {
-	release := make(chan struct{})
-	ctx, cancel := context.WithCancel(context.Background())
-	eng := NewContext(ctx, testPFDs(), Options{
-		Shards:    1,
-		BatchSize: 1, // every violating tuple flushes immediately
-		// Wedge the worker until released; after cancellation workers
-		// stop applying updates, so the callback fires only for the
-		// batches applied before the wedge is observed.
-		OnViolation: func(v pfd.StreamViolation) { <-release },
-	})
-	defer func() {
-		close(release)
-		eng.Close()
-	}()
-
-	stalled := make(chan error, 1)
-	go func() {
-		// Each tuple violates the constant PFD, producing an update per
-		// Submit; with a wedged single worker and capacity-8 channels
-		// the flush path must stall within a bounded number of
-		// submissions.
-		for i := 0; ; i++ {
-			if err := eng.Submit(map[string]string{
-				"zip": fmt.Sprintf("900%02d", i%100), "city": "WRONG",
-			}); err != nil {
-				stalled <- err
-				return
-			}
-		}
-	}()
-
-	// Give the producer time to wedge against the worker, then cancel.
-	time.Sleep(50 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-stalled:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("producer error = %v, want context.Canceled", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("producer still blocked 10s after cancellation")
+	tbl := relation.New("Zip", "zip", "city")
+	tbl.Append("90003", "Los Angeles")
+	if err := eng.SubmitTable(tbl); !errors.Is(err, context.Canceled) {
+		t.Fatalf("post-cancel SubmitTable = %v, want context.Canceled", err)
 	}
-	if !errors.Is(eng.Err(), context.Canceled) {
-		t.Fatalf("Err() = %v, want context.Canceled", eng.Err())
+	if rows := eng.Rows(); rows != 1 {
+		t.Fatalf("Rows = %d after cancel, want the 1 pre-cancel tuple", rows)
 	}
 }
 
@@ -86,7 +41,7 @@ func TestCancelUnblocksBackpressuredProducer(t *testing.T) {
 // -race in CI.
 func TestConcurrentProducersCancelMidRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	eng := NewContext(ctx, testPFDs(), Options{Shards: 4, BatchSize: 4})
+	eng := NewContext(ctx, testPFDs(), Options{})
 
 	const producers = 8
 	var wg sync.WaitGroup
@@ -122,7 +77,7 @@ func TestConcurrentProducersCancelMidRun(t *testing.T) {
 		}
 	}
 	// The final report is partial but must still be obtainable, and
-	// Close must reap every shard worker even on the canceled path.
+	// the engine must leave no goroutine behind on the canceled path.
 	rep := eng.Close()
 	if rep.Rows < 0 {
 		t.Errorf("rows = %d", rep.Rows)

@@ -66,29 +66,31 @@ func tupleTable(cols []string, tuples []map[string]string) *relation.Table {
 	return t
 }
 
-// entryPoint feeds a run of tuples to an engine.
+// entryPoint feeds a run of tuples to an engine from the given number
+// of producers taking turns (see inTurns): Submit hands tuple i to
+// producer i%producers, SubmitTable splits the run into one table per
+// producer.
 type entryPoint struct {
 	name string
-	feed func(e *Engine, cols []string, tuples []map[string]string) error
+	feed func(e *Engine, cols []string, tuples []map[string]string, producers int) error
 }
 
 var entryPoints = []entryPoint{
-	{"Submit", func(e *Engine, _ []string, tuples []map[string]string) error {
-		for _, tu := range tuples {
-			if err := e.Submit(tu); err != nil {
-				return err
-			}
-		}
-		return nil
+	{"Submit", func(e *Engine, _ []string, tuples []map[string]string, producers int) error {
+		return inTurns(len(tuples), producers, func(i int) error { return e.Submit(tuples[i]) })
 	}},
-	{"SubmitTable", func(e *Engine, cols []string, tuples []map[string]string) error {
-		return e.SubmitTable(tupleTable(cols, tuples))
+	{"SubmitTable", func(e *Engine, cols []string, tuples []map[string]string, producers int) error {
+		per := (len(tuples) + producers - 1) / producers
+		return inTurns(producers, producers, func(i int) error {
+			lo := min(i*per, len(tuples))
+			return e.SubmitTable(tupleTable(cols, tuples[lo:min(lo+per, len(tuples))]))
+		})
 	}},
 }
 
 // checkAgainstChecker runs the phases in order through every entry
-// point at 1 and 4 shards and requires the sorted violation set of the
-// sequential Checker over the concatenated phases.
+// point from 1 and 4 producers and requires the sorted violation set of
+// the sequential Checker over the concatenated phases.
 func checkAgainstChecker(t *testing.T, pfds []*pfd.PFD, cols []string, phases ...[]map[string]string) int {
 	t.Helper()
 	var all []map[string]string
@@ -98,20 +100,20 @@ func checkAgainstChecker(t *testing.T, pfds []*pfd.PFD, cols []string, phases ..
 	want := sequentialViolations(t, pfds, all)
 	SortViolations(want, pfdIndex(pfds))
 	for _, ep := range entryPoints {
-		for _, shards := range []int{1, 4} {
-			e := New(pfds, Options{ForceShards: true, Shards: shards, BatchSize: 16, FlushInterval: -1})
+		for _, producers := range []int{1, 4} {
+			e := New(pfds, Options{})
 			for _, ph := range phases {
-				if err := ep.feed(e, cols, ph); err != nil {
+				if err := ep.feed(e, cols, ph, producers); err != nil {
 					t.Fatalf("%s: %v", ep.name, err)
 				}
 			}
 			rep := e.Close()
 			if rep.Rows != len(all) {
-				t.Fatalf("%s shards=%d: Rows = %d, want %d", ep.name, shards, rep.Rows, len(all))
+				t.Fatalf("%s producers=%d: Rows = %d, want %d", ep.name, producers, rep.Rows, len(all))
 			}
 			if !reflect.DeepEqual(rep.Violations, want) {
-				t.Fatalf("%s shards=%d: violation sets differ\n got %d: %+v\nwant %d: %+v",
-					ep.name, shards, len(rep.Violations), firstN(rep.Violations), len(want), firstN(want))
+				t.Fatalf("%s producers=%d: violation sets differ\n got %d: %+v\nwant %d: %+v",
+					ep.name, producers, len(rep.Violations), firstN(rep.Violations), len(want), firstN(want))
 			}
 		}
 	}
@@ -135,7 +137,8 @@ func indexShape(e *Engine) (anchored, scanned int) {
 
 // TestMinedRulesetsMatchChecker replays a mined ruleset's clean
 // reference (the warm replay) and then a dirty stream, and requires the
-// Checker's violations through both entry points at 1 and 4 shards.
+// Checker's violations through both entry points from 1 and 4
+// producers.
 func TestMinedRulesetsMatchChecker(t *testing.T) {
 	for _, w := range []struct {
 		id               string
@@ -146,7 +149,7 @@ func TestMinedRulesetsMatchChecker(t *testing.T) {
 	} {
 		t.Run(w.id, func(t *testing.T) {
 			pfds, ref, dirty := minedWorkload(t, w.id, w.refRows, w.dirties)
-			e := New(pfds, Options{Shards: 1})
+			e := New(pfds, Options{})
 			defer e.Close()
 			anchored, scanned := indexShape(e)
 			if anchored <= scanned {
@@ -231,10 +234,10 @@ func handStream(r *rand.Rand, n int) []map[string]string {
 }
 
 // TestHandTableauMatchesChecker pins the index's edge cases against the
-// Checker through both entry points at 1 and 4 shards.
+// Checker through both entry points from 1 and 4 producers.
 func TestHandTableauMatchesChecker(t *testing.T) {
 	pfds := handPFDs(t)
-	e := New(pfds, Options{Shards: 1})
+	e := New(pfds, Options{})
 	defer e.Close()
 	if anchored, scanned := indexShape(e); anchored != 12 || scanned != 4 {
 		t.Fatalf("index files %d anchored and %d scan rows, want 12 and 4\n%s", anchored, scanned, describeIndex(e))
@@ -278,7 +281,7 @@ func TestConcurrentProducersHandTableau(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("no exact-row violations: test is vacuous")
 	}
-	e := New(pfds, Options{ForceShards: true, Shards: 4, BatchSize: 16})
+	e := New(pfds, Options{})
 	var wg sync.WaitGroup
 	for _, st := range streams {
 		wg.Add(1)
@@ -303,7 +306,7 @@ func TestConcurrentProducersHandTableau(t *testing.T) {
 // whose LHS matches.
 func TestCandidatesAreSortedAndSound(t *testing.T) {
 	pfds := handPFDs(t)
-	e := New(pfds, Options{Shards: 1})
+	e := New(pfds, Options{})
 	defer e.Close()
 	var cand []int32
 	for _, a := range handValues {
@@ -331,8 +334,8 @@ func TestCandidatesAreSortedAndSound(t *testing.T) {
 }
 
 // FuzzSubmitMatchesChecker feeds arbitrary byte values through the
-// hand-made ruleset and requires the engine's violations (Submit at 2
-// shards, SubmitTable at 1) to equal the sequential Checker's.
+// hand-made ruleset and requires the engine's violations (Submit from 2
+// producers, SubmitTable from 1) to equal the sequential Checker's.
 func FuzzSubmitMatchesChecker(f *testing.F) {
 	f.Add([]byte("Phoenix\x1fB\x1fX\x1fPhoenix\x1fB\x1fY"))
 	f.Add([]byte("éüab\x1fBé\x1f\x1f\xffab\x1f90001\x1fE"))
@@ -349,11 +352,11 @@ func FuzzSubmitMatchesChecker(f *testing.F) {
 		want := sequentialViolations(t, pfds, tuples)
 		SortViolations(want, idx)
 		for _, run := range []struct {
-			ep     entryPoint
-			shards int
+			ep        entryPoint
+			producers int
 		}{{entryPoints[0], 2}, {entryPoints[1], 1}} {
-			e := New(pfds, Options{ForceShards: true, Shards: run.shards, FlushInterval: -1})
-			if err := run.ep.feed(e, cols, tuples); err != nil {
+			e := New(pfds, Options{})
+			if err := run.ep.feed(e, cols, tuples, run.producers); err != nil {
 				t.Fatal(err)
 			}
 			if got := e.Close().Violations; !reflect.DeepEqual(got, want) {
@@ -372,8 +375,8 @@ var (
 
 // BenchmarkSubmitMinedT1 measures the live path on T1's mined ruleset:
 // an engine warmed with the clean reference through SubmitTable, then
-// Submit over a 2%-dirty 20k-row stream (cycled), 2 shards. It reports
-// rows/s.
+// Submit over a 2%-dirty 20k-row stream (cycled), from one producer.
+// It reports rows/s.
 func BenchmarkSubmitMinedT1(b *testing.B) {
 	minedT1Once.Do(func() {
 		var dirty *relation.Table
@@ -381,11 +384,10 @@ func BenchmarkSubmitMinedT1(b *testing.B) {
 		minedT1Tuples = tableTuples(dirty)
 	})
 	tuples := minedT1Tuples
-	e := New(minedT1PFDs, Options{ForceShards: true, Shards: 2, DiscardViolations: true})
+	e := New(minedT1PFDs, Options{DiscardViolations: true})
 	if err := e.SubmitTable(minedT1Ref); err != nil {
 		b.Fatal(err)
 	}
-	e.Snapshot()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -393,7 +395,6 @@ func BenchmarkSubmitMinedT1(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	e.Snapshot()
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 	e.Close()

@@ -2,22 +2,18 @@ package stream
 
 import (
 	"testing"
-	"time"
 
 	"pfd/internal/pfd"
 )
 
-// TestEngineStateLifecycle walks running → draining → closed. The
-// draining window is held open deterministically by an OnViolation
-// handler that blocks a shard worker until the test has observed the
-// state — Close cannot finish while the worker is stuck in the
-// callback.
+// TestEngineStateLifecycle walks running → closed. The handler runs
+// inside Submit, so a handler that blocks holds Submit (and the engine
+// lock) until released: State must still answer without the lock, and
+// Close must wait for the Submit to finish.
 func TestEngineStateLifecycle(t *testing.T) {
 	gate := make(chan struct{})
 	entered := make(chan struct{}, 16)
 	eng := New(testPFDs(), Options{
-		Shards:    1,
-		BatchSize: 1,
 		OnViolation: func(v pfd.StreamViolation) {
 			entered <- struct{}{}
 			<-gate
@@ -27,37 +23,29 @@ func TestEngineStateLifecycle(t *testing.T) {
 	if got := eng.State(); got != EngineRunning {
 		t.Fatalf("fresh engine state = %v, want running", got)
 	}
-	if eng.Shards() != 1 {
-		t.Fatalf("Shards() = %d, want 1", eng.Shards())
-	}
 
 	// A constant-LHS row with a wrong constant RHS violates
 	// immediately and statelessly, so exactly one callback fires.
-	if err := eng.Submit(map[string]string{"zip": "90001", "city": "Chicago"}); err != nil {
-		t.Fatal(err)
-	}
+	submitted := make(chan error, 1)
+	go func() { submitted <- eng.Submit(map[string]string{"zip": "90001", "city": "Chicago"}) }()
+	<-entered // Submit is now blocked inside the callback
 
+	if got := eng.State(); got != EngineRunning {
+		t.Fatalf("state during a blocked Submit = %v, want running", got)
+	}
 	done := make(chan Report, 1)
 	go func() { done <- eng.Close() }()
-	<-entered // the worker is now blocked inside the callback
-
-	deadline := time.After(5 * time.Second)
-	for eng.State() != EngineDraining {
-		select {
-		case <-deadline:
-			t.Fatalf("state never reached draining (still %v)", eng.State())
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
 
 	close(gate)
+	if err := <-submitted; err != nil {
+		t.Fatalf("Submit = %v", err)
+	}
 	rep := <-done
 	if got := eng.State(); got != EngineClosed {
 		t.Fatalf("state after Close = %v, want closed", got)
 	}
-	if rep.Rows != 1 {
-		t.Fatalf("final rows = %d, want 1", rep.Rows)
+	if rep.Rows != 1 || len(rep.Violations) != 1 {
+		t.Fatalf("final report has %d rows and %d violations, want 1 and 1", rep.Rows, len(rep.Violations))
 	}
 	if err := eng.Submit(map[string]string{"zip": "90001", "city": "Chicago"}); err != ErrClosed {
 		t.Fatalf("Submit after close = %v, want ErrClosed", err)
@@ -68,7 +56,6 @@ func TestEngineStateLifecycle(t *testing.T) {
 func TestEngineStateStrings(t *testing.T) {
 	for state, want := range map[EngineState]string{
 		EngineRunning:  "running",
-		EngineDraining: "draining",
 		EngineClosed:   "closed",
 		EngineState(7): "unknown",
 	} {
@@ -78,19 +65,17 @@ func TestEngineStateStrings(t *testing.T) {
 	}
 }
 
-// TestBacklogGauge: with the flush path disabled and a batch size the
-// stream never reaches, routed updates stay in the fill buffers where
-// Backlog can see them; after Close everything is drained.
+// TestBacklogGauge: every tuple is folded before Submit returns, so
+// nothing is ever queued.
 func TestBacklogGauge(t *testing.T) {
-	eng := New(testPFDs(), Options{Shards: 1, BatchSize: 1 << 20, FlushInterval: -1})
+	eng := New(testPFDs(), Options{})
 	for i := 0; i < 10; i++ {
 		if err := eng.Submit(map[string]string{"zip": "90001", "city": "Los Angeles"}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	batches, buffered := eng.Backlog()
-	if buffered == 0 {
-		t.Errorf("Backlog buffered = 0 after 10 unflushed submits (batches=%d)", batches)
+	if batches, buffered := eng.Backlog(); batches != 0 || buffered != 0 {
+		t.Errorf("Backlog after 10 submits = (%d, %d), want (0, 0)", batches, buffered)
 	}
 	eng.Close()
 	if batches, buffered := eng.Backlog(); batches != 0 || buffered != 0 {

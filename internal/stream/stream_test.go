@@ -5,10 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"pfd/internal/pattern"
 	"pfd/internal/pfd"
@@ -76,8 +75,8 @@ func pfdIndex(pfds []*pfd.PFD) map[*pfd.PFD]int {
 
 // TestDifferentialAgainstChecker is the semantics-equivalence pin: the
 // engine's violation set must equal the sequential Checker's on the
-// same stream, for every shard count and batch size (reporting order
-// excepted — both sides are sorted with the same comparator).
+// same stream, for one producer and for four taking turns (reporting
+// order excepted — both sides are sorted with the same comparator).
 func TestDifferentialAgainstChecker(t *testing.T) {
 	pfds := testPFDs()
 	idx := pfdIndex(pfds)
@@ -86,25 +85,51 @@ func TestDifferentialAgainstChecker(t *testing.T) {
 		stream := randomStream(r, 30+r.Intn(120))
 		want := sequentialViolations(t, pfds, stream)
 		SortViolations(want, idx)
-		for _, shards := range []int{1, 4, 8} {
-			for _, batchSize := range []int{1, 3, 64} {
-				e := New(pfds, Options{ForceShards: true, Shards: shards, BatchSize: batchSize, FlushInterval: -1})
-				for _, tuple := range stream {
-					if err := e.Submit(tuple); err != nil {
-						t.Fatalf("Submit: %v", err)
-					}
-				}
-				rep := e.Close()
-				if rep.Rows != len(stream) {
-					t.Fatalf("shards=%d batch=%d: Rows = %d, want %d", shards, batchSize, rep.Rows, len(stream))
-				}
-				if !reflect.DeepEqual(rep.Violations, want) {
-					t.Fatalf("shards=%d batch=%d trial=%d: violation sets differ\n got %d: %+v\nwant %d: %+v",
-						shards, batchSize, trial, len(rep.Violations), rep.Violations, len(want), want)
-				}
+		for _, producers := range []int{1, 4} {
+			e := New(pfds, Options{})
+			if err := inTurns(len(stream), producers, func(i int) error { return e.Submit(stream[i]) }); err != nil {
+				t.Fatalf("Submit: %v", err)
+			}
+			rep := e.Close()
+			if rep.Rows != len(stream) {
+				t.Fatalf("producers=%d: Rows = %d, want %d", producers, rep.Rows, len(stream))
+			}
+			if !reflect.DeepEqual(rep.Violations, want) {
+				t.Fatalf("producers=%d trial=%d: violation sets differ\n got %d: %+v\nwant %d: %+v",
+					producers, trial, len(rep.Violations), rep.Violations, len(want), want)
 			}
 		}
 	}
+}
+
+// inTurns runs step(0), ..., step(n-1) in that order, step i on
+// producer goroutine i%producers, passing a turn from one producer to
+// the next: the engine sees several submitting goroutines and one
+// deterministic submission order, which the Checker can replay. It
+// returns the first error; the steps after it are skipped.
+func inTurns(n, producers int, step func(i int) error) error {
+	turn := make([]chan struct{}, producers)
+	for p := range turn {
+		turn[p] = make(chan struct{}, 1)
+	}
+	turn[0] <- struct{}{}
+	var err error // touched only by the producer holding the turn
+	var wg sync.WaitGroup
+	for p := range turn {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := p; i < n; i += producers {
+				<-turn[p]
+				if err == nil {
+					err = step(i)
+				}
+				turn[(i+1)%producers] <- struct{}{}
+			}
+		}()
+	}
+	wg.Wait()
+	return err
 }
 
 // TestSnapshotBarrierConsistency verifies a mid-stream snapshot sees
@@ -122,7 +147,7 @@ func TestSnapshotBarrierConsistency(t *testing.T) {
 	wantAll := sequentialViolations(t, pfds, stream)
 	SortViolations(wantAll, idx)
 
-	e := New(pfds, Options{ForceShards: true, Shards: 4, BatchSize: 5, FlushInterval: -1})
+	e := New(pfds, Options{})
 	for _, tuple := range stream[:cut] {
 		if err := e.Submit(tuple); err != nil {
 			t.Fatalf("Submit: %v", err)
@@ -158,7 +183,7 @@ func TestConcurrentProducers(t *testing.T) {
 	pfds := testPFDs()
 	const producers = 8
 	const perProducer = 200
-	e := New(pfds, Options{ForceShards: true, Shards: 4, BatchSize: 16})
+	e := New(pfds, Options{})
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
@@ -201,7 +226,7 @@ func TestOnViolationCallback(t *testing.T) {
 	pfds := testPFDs()
 	var mu sync.Mutex
 	live := 0
-	e := New(pfds, Options{ForceShards: true, Shards: 2, BatchSize: 1, FlushInterval: -1, OnViolation: func(pfd.StreamViolation) {
+	e := New(pfds, Options{OnViolation: func(pfd.StreamViolation) {
 		mu.Lock()
 		live++
 		mu.Unlock()
@@ -223,9 +248,53 @@ func TestOnViolationCallback(t *testing.T) {
 	}
 }
 
+// TestOnViolationInSubmit pins the handler contract: a violation is
+// delivered before the Submit that raised it returns, and calls from
+// concurrent producers never overlap, so the handler needs no lock of
+// its own.
+func TestOnViolationInSubmit(t *testing.T) {
+	pfds := testPFDs()
+	var inFlight, overlaps, calls atomic.Int64
+	e := New(pfds, Options{OnViolation: func(pfd.StreamViolation) {
+		if inFlight.Add(1) > 1 {
+			overlaps.Add(1)
+		}
+		calls.Add(1)
+		inFlight.Add(-1)
+	}})
+	// Breaches the constant row "(900)\D{2} -> Los Angeles".
+	if err := e.Submit(map[string]string{"zip": "90001", "city": "Pasadena"}); err != nil {
+		t.Fatal(err)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("handler called %d times when Submit returned, want 1", n)
+	}
+	var wg sync.WaitGroup
+	for p := 0; p < 4; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, tuple := range randomStream(rand.New(rand.NewSource(int64(p))), 200) {
+				if err := e.Submit(tuple); err != nil {
+					t.Errorf("Submit: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	rep := e.Close()
+	if n := overlaps.Load(); n != 0 {
+		t.Fatalf("%d handler calls overlapped another", n)
+	}
+	if int(calls.Load()) != len(rep.Violations) {
+		t.Fatalf("handler saw %d violations, report has %d", calls.Load(), len(rep.Violations))
+	}
+}
+
 func TestSubmitErrors(t *testing.T) {
 	pfds := testPFDs()
-	e := New(pfds, Options{ForceShards: true, Shards: 2})
+	e := New(pfds, Options{})
 	var mce *pfd.MissingColumnError
 	if err := e.Submit(map[string]string{"zip": "90001"}); !errors.As(err, &mce) {
 		t.Fatalf("missing column: got %v, want *pfd.MissingColumnError", err)
@@ -241,37 +310,6 @@ func TestSubmitErrors(t *testing.T) {
 	}
 }
 
-// TestFlushIntervalDelivers verifies the timed flush path in
-// isolation: the batch size is never reached and no barrier is placed,
-// so only flushLoop can hand the pending buffer to a worker and fire
-// the OnViolation callback.
-func TestFlushIntervalDelivers(t *testing.T) {
-	pfds := testPFDs()
-	fired := make(chan pfd.StreamViolation, 1)
-	e := New(pfds, Options{
-		ForceShards: true, Shards: 2, BatchSize: 1 << 20, FlushInterval: time.Millisecond,
-		OnViolation: func(v pfd.StreamViolation) {
-			select {
-			case fired <- v:
-			default:
-			}
-		},
-	})
-	defer e.Close()
-	// Breaches the constant row "(900)\D{2} -> Los Angeles".
-	if err := e.Submit(map[string]string{"zip": "90001", "city": "Pasadena"}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case v := <-fired:
-		if !v.NewTuple || v.Expected != "Los Angeles" {
-			t.Fatalf("unexpected violation from timed flush: %+v", v)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("timed flush never delivered the batch")
-	}
-}
-
 // TestDiscardViolations checks the retention opt-out: violations reach
 // the callback but Snapshot/Close reports stay empty (Rows still
 // exact).
@@ -280,7 +318,7 @@ func TestDiscardViolations(t *testing.T) {
 	var mu sync.Mutex
 	live := 0
 	e := New(pfds, Options{
-		ForceShards: true, Shards: 2, BatchSize: 1, FlushInterval: -1, DiscardViolations: true,
+		DiscardViolations: true,
 		OnViolation: func(pfd.StreamViolation) {
 			mu.Lock()
 			live++
@@ -311,7 +349,7 @@ func TestDiscardViolations(t *testing.T) {
 // TestSubmitTableMatchesSubmit pins the dictionary-encoded table fast
 // path: folding a materialized table with SubmitTable must produce the
 // exact violation report that per-tuple Submit calls produce on the
-// same rows in the same order, across shard counts.
+// same rows in the same order, from one producer or four.
 func TestSubmitTableMatchesSubmit(t *testing.T) {
 	pfds := testPFDs()
 	r := rand.New(rand.NewSource(77))
@@ -321,27 +359,25 @@ func TestSubmitTableMatchesSubmit(t *testing.T) {
 		for _, tuple := range stream {
 			tbl.Append(tuple["zip"], tuple["city"])
 		}
-		for _, shards := range []int{1, 4} {
-			perTuple := New(pfds, Options{ForceShards: true, Shards: shards, BatchSize: 7, FlushInterval: -1})
-			for _, tuple := range stream {
-				if err := perTuple.Submit(tuple); err != nil {
-					t.Fatalf("Submit: %v", err)
-				}
+		for _, producers := range []int{1, 4} {
+			perTuple := New(pfds, Options{})
+			if err := inTurns(len(stream), producers, func(i int) error { return perTuple.Submit(stream[i]) }); err != nil {
+				t.Fatalf("Submit: %v", err)
 			}
 			want := perTuple.Close()
 
-			table := New(pfds, Options{ForceShards: true, Shards: shards, BatchSize: 7, FlushInterval: -1})
+			table := New(pfds, Options{})
 			if err := table.SubmitTable(tbl); err != nil {
 				t.Fatalf("SubmitTable: %v", err)
 			}
 			got := table.Close()
 
 			if got.Rows != want.Rows {
-				t.Fatalf("shards=%d: Rows = %d, want %d", shards, got.Rows, want.Rows)
+				t.Fatalf("producers=%d: Rows = %d, want %d", producers, got.Rows, want.Rows)
 			}
 			if !reflect.DeepEqual(got.Violations, want.Violations) {
-				t.Fatalf("shards=%d trial=%d: reports differ\n got %d: %+v\nwant %d: %+v",
-					shards, trial, len(got.Violations), got.Violations, len(want.Violations), want.Violations)
+				t.Fatalf("producers=%d trial=%d: reports differ\n got %d: %+v\nwant %d: %+v",
+					producers, trial, len(got.Violations), got.Violations, len(want.Violations), want.Violations)
 			}
 		}
 	}
@@ -353,7 +389,7 @@ func TestSubmitTableMissingColumn(t *testing.T) {
 	pfds := testPFDs()
 	tbl := relation.New("Zip", "zip") // no city column
 	tbl.Append("90012")
-	e := New(pfds, Options{ForceShards: true, Shards: 2, FlushInterval: -1})
+	e := New(pfds, Options{})
 	defer e.Close()
 	err := e.SubmitTable(tbl)
 	var mce *pfd.MissingColumnError
@@ -363,32 +399,4 @@ func TestSubmitTableMissingColumn(t *testing.T) {
 	if rep := e.Close(); rep.Rows != 0 {
 		t.Fatalf("rejected table advanced Rows to %d", rep.Rows)
 	}
-}
-
-// TestShardClamp pins the oversharding guard: an explicit shard count
-// above GOMAXPROCS is clamped (extra shards on a saturated box are
-// pure routing overhead) unless ForceShards pins the topology.
-func TestShardClamp(t *testing.T) {
-	pfds := testPFDs()
-	maxp := runtime.GOMAXPROCS(0)
-	over := maxp + 7
-
-	e := New(pfds, Options{Shards: over})
-	if got := len(e.shards); got != maxp {
-		t.Errorf("shards = %d, want clamped to GOMAXPROCS %d", got, maxp)
-	}
-	e.Close()
-
-	f := New(pfds, Options{ForceShards: true, Shards: over})
-	if got := len(f.shards); got != over {
-		t.Errorf("forced shards = %d, want %d", got, over)
-	}
-	f.Close()
-
-	// Within-budget counts pass through unclamped.
-	g := New(pfds, Options{Shards: 1})
-	if got := len(g.shards); got != 1 {
-		t.Errorf("shards = %d, want 1", got)
-	}
-	g.Close()
 }

@@ -58,9 +58,8 @@ func WithChunkRows(n int) OOCOption {
 }
 
 // WithSampleRows sets the target size of the deterministic systematic
-// sample mined for candidate estimates (and, under WithSampleVerify,
-// the candidate screen). 0 means the default (64Ki rows); negative
-// disables sampling.
+// sample that WithSampleVerify mines for its candidate screen. 0 means
+// the default (64Ki rows); negative disables sampling.
 func WithSampleRows(n int) OOCOption {
 	return func(c *oocConfig) { c.opt.SampleRows = n }
 }

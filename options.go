@@ -120,22 +120,12 @@ func newStreamConfig(opts []StreamOption) streamConfig {
 	return cfg
 }
 
-// WithShards sets the number of state partitions (worker goroutines)
-// of the sharded engine. <= 0 means GOMAXPROCS. An explicit positive
-// count is used exactly as given — including above GOMAXPROCS, where
-// extra shards only add routing overhead; without this option the
-// engine never runs more shards than usable CPUs.
-func WithShards(n int) StreamOption {
-	return func(c *streamConfig) {
-		c.engine.Shards = n
-		c.engine.ForceShards = n > 0
-	}
-}
-
 // WithViolationHandler registers a callback invoked as each violation
-// is found. It runs on the engine's shard workers — concurrently, so
-// it must be safe for parallel use, and it must not call back into the
-// engine. During a WithWarmup replay the handler is not invoked.
+// is found. It runs in the goroutine that submitted the tuple, while
+// the engine lock is held: calls from several producers never overlap,
+// and every violation of a tuple has been delivered when its Submit
+// returns. It must not call back into the engine, whose lock it holds.
+// During a WithWarmup replay the handler is not invoked.
 func WithViolationHandler(fn func(StreamViolation)) StreamOption {
 	return func(c *streamConfig) { c.engine.OnViolation = fn }
 }

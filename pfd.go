@@ -2,7 +2,7 @@
 // Functional Dependencies for Data Cleaning" (Qahtan, Tang, Ouzzani, Cao,
 // Stonebraker; PVLDB 13(5), 2020): the pattern language, the PFD
 // constraint class, the discovery algorithm, PFD-based error detection
-// and repair, the inference system, and a sharded streaming validator.
+// and repair, the inference system, and a streaming validator.
 //
 // The v2 API is built on four pillars:
 //
@@ -15,7 +15,7 @@
 //     ...DetectOption), Validate(ctx, src, pfds, ...StreamOption), and
 //     RepairToFixpoint(ctx, src, pfds, ...RepairOption). Cancellation
 //     is threaded through the discovery worker pool and the stream
-//     shard workers; long runs report progress through options.
+//     engine's write path; long runs report progress through options.
 //   - Iterator results and typed errors. Findings, Violations, and
 //     Dependencies are available as iter.Seq streams alongside the
 //     slice forms, and failures carry types: *ParseError for
@@ -43,7 +43,7 @@
 //	    fmt.Printf("%s: %q should be %q\n", f.Cell, f.Observed, f.Proposed)
 //	}
 //
-// Streaming validation has one production path, the sharded engine
+// Streaming validation has one production path, the stream engine
 // behind Validate and NewStreamEngineContext. See examples/ for
 // runnable programs and DESIGN.md for the map from paper sections to
 // packages.
@@ -170,43 +170,38 @@ type StreamViolation = pfd.StreamViolation
 // RepairToFixpoint when the input table does.
 type MissingColumnError = pfd.MissingColumnError
 
-// StreamEngine is the sharded, batched streaming validator: group
-// state is partitioned by hash(pfd, tableau row, LHS key) across
-// worker-owned shards, Submit is safe for concurrent producers, and
-// Snapshot/Close report violations with the paper's per-group
-// consensus semantics (pinned by a differential test against the
-// sequential reference checker in internal/pfd).
+// StreamEngine is the streaming validator: Submit is safe for
+// concurrent producers, each of which matches its tuple without a
+// lock and folds it into the one group-state map under the engine
+// lock, and Snapshot/Close report violations with the paper's
+// per-group consensus semantics (pinned by a differential test
+// against the sequential reference checker in internal/pfd).
 type StreamEngine = stream.Engine
 
 // StreamReport is a consistent snapshot of a StreamEngine.
 type StreamReport = stream.Report
 
 // EngineState describes where a StreamEngine is in its lifecycle —
-// running, draining (Close in progress), or closed — via
-// StreamEngine.State. A hosting service uses it to answer health
-// checks truthfully during shutdown instead of hanging requests on an
-// engine that is mid-drain.
+// running or closed — via StreamEngine.State, which takes no lock, so
+// a hosting service can answer health checks at any time.
 type EngineState = stream.EngineState
 
 // The StreamEngine lifecycle states; see EngineState.
 const (
-	EngineRunning  = stream.EngineRunning
-	EngineDraining = stream.EngineDraining
-	EngineClosed   = stream.EngineClosed
+	EngineRunning = stream.EngineRunning
+	EngineClosed  = stream.EngineClosed
 )
 
 // ErrEngineClosed is returned by StreamEngine.Submit once Close has
-// begun: the engine is draining (or drained) and accepts no more
-// tuples.
+// run: the engine accepts no more tuples.
 var ErrEngineClosed = stream.ErrClosed
 
-// NewStreamEngineContext starts a sharded streaming validator whose
-// write path and shard workers observe ctx: when it is canceled,
-// Submit fails fast with the context error, backpressure-stalled
-// producers unblock, and the workers stop applying updates. Close must
-// still be called to release the workers. Options are the functional
-// StreamOption set; the manual-lifecycle engine ignores the
-// Validate-only options (warmup source, producer count, progress).
+// NewStreamEngineContext creates a streaming validator whose write
+// path observes ctx: once it is canceled, Submit and SubmitTable fail
+// fast with the context error. Close still returns the final report.
+// Options are the functional StreamOption set; the manual-lifecycle
+// engine ignores the Validate-only options (warmup source, producer
+// count, progress).
 func NewStreamEngineContext(ctx context.Context, pfds []*PFD, opts ...StreamOption) *StreamEngine {
 	cfg := newStreamConfig(opts)
 	return stream.NewContext(ctx, pfds, cfg.engine)

@@ -63,8 +63,7 @@ type Report struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 	// TuplesPerSec is LiveRows over the live-phase wall time.
 	TuplesPerSec float64 `json:"tuples_per_sec"`
-	// Shards and Workers record the engine shape of the run.
-	Shards  int `json:"shards"`
+	// Workers is the number of producer goroutines of the run.
 	Workers int `json:"workers"`
 
 	// Violations are the retained live findings. The CLI retains all
@@ -108,8 +107,8 @@ func FindingOf(v StreamViolation, rowOffset int) ReportFinding {
 
 // Sort orders the findings by (row, column, PFD, expected), the
 // deterministic order shared by every producer — handlers collect
-// findings from concurrent shard workers, so arrival order is not
-// meaningful.
+// findings in the order the engine folds them, which need not be this
+// one.
 func (r *Report) Sort() {
 	sort.Slice(r.Violations, func(i, j int) bool {
 		a, b := r.Violations[i], r.Violations[j]

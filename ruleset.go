@@ -144,6 +144,22 @@ func (e *RuleParseError) Error() string {
 
 func (e *RuleParseError) Unwrap() error { return e.Err }
 
+// prefixedError puts context in front of an error that may already
+// begin with the package prefix: the message drops err's own "pfd: ",
+// so the line carries the prefix once, and it unwraps to err.
+type prefixedError struct {
+	prefix string
+	err    error
+}
+
+func prefixed(prefix string, err error) error { return &prefixedError{prefix, err} }
+
+func (e *prefixedError) Error() string {
+	return e.prefix + strings.TrimPrefix(e.err.Error(), "pfd: ")
+}
+
+func (e *prefixedError) Unwrap() error { return e.err }
+
 // headerPrefix opens every structured text-codec header line.
 const headerPrefix = "# pfd-ruleset v"
 
@@ -225,7 +241,7 @@ func loadRuleset(data []byte, path string) (*Ruleset, error) {
 		rs := new(Ruleset)
 		if err := rs.UnmarshalJSON(data); err != nil {
 			if path != "" {
-				return nil, fmt.Errorf("pfd: %s: %w", path, err)
+				return nil, prefixed("pfd: "+path+": ", err)
 			}
 			return nil, err
 		}

@@ -116,7 +116,7 @@ func (rs *Ruleset) marshalIndentJSON() ([]byte, error) {
 func (rs *Ruleset) UnmarshalJSON(data []byte) error {
 	var in rulesetJSON
 	if err := json.Unmarshal(data, &in); err != nil {
-		return fmt.Errorf("pfd: ruleset JSON: %w", err)
+		return prefixed("pfd: ruleset JSON: ", err)
 	}
 	if in.Format != RulesetFormat {
 		return fmt.Errorf("pfd: ruleset JSON: format %q, want %q", in.Format, RulesetFormat)
@@ -146,20 +146,20 @@ func (rs *Ruleset) UnmarshalJSON(data []byte) error {
 			for ci, src := range tj.LHS {
 				c, err := pfd.ParseCell(src)
 				if err != nil {
-					return fmt.Errorf("pfd: ruleset JSON: rule %d tableau row %d cell %d: %w", ri, ti, ci, err)
+					return prefixed(fmt.Sprintf("pfd: ruleset JSON: rule %d tableau row %d cell %d: ", ri, ti, ci), err)
 				}
 				row.LHS[ci] = c
 			}
 			c, err := pfd.ParseCell(tj.RHS)
 			if err != nil {
-				return fmt.Errorf("pfd: ruleset JSON: rule %d tableau row %d RHS: %w", ri, ti, err)
+				return prefixed(fmt.Sprintf("pfd: ruleset JSON: rule %d tableau row %d RHS: ", ri, ti), err)
 			}
 			row.RHS = c
 			rows = append(rows, row)
 		}
 		p, err := pfd.New(rj.Relation, rj.LHS, rj.RHS, rows...)
 		if err != nil {
-			return fmt.Errorf("pfd: ruleset JSON: rule %d: %w", ri, err)
+			return prefixed(fmt.Sprintf("pfd: ruleset JSON: rule %d: ", ri), err)
 		}
 		out.PFDs = append(out.PFDs, p)
 	}

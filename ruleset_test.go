@@ -157,6 +157,39 @@ func TestLoadRulesetRejectsNewerVersions(t *testing.T) {
 	}
 }
 
+// TestRulesetJSONErrorOnePrefix pins that a bad JSON ruleset reads
+// with one "pfd:" prefix, from the file loader and the reader alike,
+// for every layer that adds context: the path, the codec, the rule.
+func TestRulesetJSONErrorOnePrefix(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bad.json")
+	for _, c := range []struct {
+		rule, want string
+	}{
+		{`{"relation": "R", "lhs": [], "rhs": "b", "tableau": []}`, "ruleset JSON: rule 0: empty LHS"},
+		{`{"relation": "R", "lhs": ["a"], "rhs": "b", "tableau": [{"lhs": ["(x"], "rhs": "_"}]}`,
+			"ruleset JSON: rule 0 tableau row 0 cell 0: "},
+	} {
+		src := `{"format": "pfd-ruleset", "version": 1, "rules": [` + c.rule + `]}`
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, fileErr := pfd.LoadRulesetFile(path)
+		_, readErr := pfd.LoadRuleset(strings.NewReader(src))
+		for _, got := range []error{fileErr, readErr} {
+			if got == nil {
+				t.Fatalf("rule %s accepted", c.rule)
+			}
+			msg := got.Error()
+			if strings.Count(msg, "pfd:") != 1 || !strings.HasPrefix(msg, "pfd: ") || !strings.Contains(msg, c.want) {
+				t.Errorf("error %q: want one leading \"pfd:\" and %q", msg, c.want)
+			}
+		}
+		if want := "pfd: " + path + ": " + c.want; !strings.HasPrefix(fileErr.Error(), want) {
+			t.Errorf("file error %q, want prefix %q", fileErr, want)
+		}
+	}
+}
+
 func TestLoadRulesetReportsLineNumbers(t *testing.T) {
 	src := "# a comment\n\nZip([zip = (900)\\D{2}] -> [city = LA])\nnot a rule\n"
 	_, err := pfd.LoadRuleset(strings.NewReader(src))

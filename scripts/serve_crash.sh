@@ -130,7 +130,7 @@ grep -q "^pfd_recovered_tenants 1$" "$workdir/metrics.txt" ||
   { say "recovery gauges missing"; cat "$workdir/metrics.txt"; exit 1; }
 
 say "fresh tenant on the recovered daemon must agree with pfdstream"
-"$workdir/bin/pfdstream" -rules "$workdir/rules.json" -workers 1 -json \
+"$workdir/bin/pfdstream" -rules "$workdir/rules.json" -json \
   -in "$csv" >"$workdir/cli.json" 2>"$workdir/cli.log" || status=$?
 status=${status:-0}
 if [ "$status" -gt 1 ]; then

@@ -32,7 +32,7 @@ say "mining the ruleset"
 "$workdir/bin/pfd" discover -in "$csv" -rules "$workdir/rules.json" >/dev/null
 
 say "baseline: pfdstream -json over the same stream"
-"$workdir/bin/pfdstream" -rules "$workdir/rules.json" -workers 1 -json \
+"$workdir/bin/pfdstream" -rules "$workdir/rules.json" -json \
   -in "$csv" >"$workdir/cli.json" 2>"$workdir/cli.log" || status=$?
 # Exit 1 just means the stream raised violations — that's the point.
 status=${status:-0}
