@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"sync"
-	"sync/atomic"
 
 	"pfd/internal/discovery"
 	"pfd/internal/repair"
@@ -271,9 +269,9 @@ func (v *Validation) Report() StreamReport { return v.report }
 const validateProgressEvery = 4096
 
 // Validate checks a source against PFDs with streaming (ingest-time)
-// semantics and returns a consistent final report. It runs the engine
-// with one producer goroutine by default — deterministic row ids in
-// source order; WithWorkers scales the producer-side pattern matching.
+// semantics and returns a consistent final report. It submits the
+// source's tuples from the calling goroutine, so row ids follow source
+// order and the report is deterministic.
 // WithWarmup folds a trusted reference in first so group consensus
 // exists before the first live tuple.
 //
@@ -308,7 +306,7 @@ func Validate(ctx context.Context, src Source, pfds []*PFD, opts ...StreamOption
 		warmRows = n
 		live = true
 	}
-	n, err := submitEngine(ctx, eng, src, cfg.workers, cfg.progress)
+	n, err := submitEngine(ctx, eng, src, cfg.progress)
 	rep := eng.Close()
 	if err != nil {
 		return nil, wrapCanceled(err, "validate", warmRows+n)
@@ -337,80 +335,25 @@ func warmEngine(ctx context.Context, eng *stream.Engine, ref Source) (int, error
 		}
 		return tbl.NumRows(), nil
 	}
-	return submitEngine(ctx, eng, ref, 1, nil)
+	return submitEngine(ctx, eng, ref, nil)
 }
 
-// submitEngine drives one source into the engine with the given number
-// of producer goroutines, returning how many tuples were submitted.
-// progress, when non-nil, is invoked from the goroutine iterating the
-// source every validateProgressEvery tuples.
-func submitEngine(ctx context.Context, eng *stream.Engine, src Source, workers int, progress func(int)) (int, error) {
-	if workers <= 1 {
-		n := 0
-		for tuple, err := range src.Tuples(ctx) {
-			if err != nil {
-				return n, err
-			}
-			if err := eng.Submit(tuple); err != nil {
-				return n, err
-			}
-			n++
-			if progress != nil && n%validateProgressEvery == 0 {
-				progress(n)
-			}
-		}
-		return n, nil
-	}
-
-	tuples := make(chan Tuple, 4*workers)
-	quit := make(chan struct{})
-	var quitOnce sync.Once
-	var submitted atomic.Int64
-	var submitErr error
-	var errOnce sync.Once
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for tuple := range tuples {
-				if err := eng.Submit(tuple); err != nil {
-					errOnce.Do(func() { submitErr = err })
-					quitOnce.Do(func() { close(quit) })
-					return
-				}
-				submitted.Add(1)
-			}
-		}()
-	}
-
-	var srcErr error
-	fed := 0
-feed:
+// submitEngine drives one source into the engine from the calling
+// goroutine, returning how many tuples were submitted. progress, when
+// non-nil, is invoked every validateProgressEvery tuples.
+func submitEngine(ctx context.Context, eng *stream.Engine, src Source, progress func(int)) (int, error) {
+	n := 0
 	for tuple, err := range src.Tuples(ctx) {
 		if err != nil {
-			srcErr = err
-			break
+			return n, err
 		}
-		select {
-		case tuples <- tuple:
-			fed++
-			// Report the submitted count (what the API documents), not
-			// the fed count — the two differ by the channel buffer and
-			// in-flight tuples.
-			if progress != nil && fed%validateProgressEvery == 0 {
-				progress(int(submitted.Load()))
-			}
-		case <-quit:
-			break feed
+		if err := eng.Submit(tuple); err != nil {
+			return n, err
+		}
+		n++
+		if progress != nil && n%validateProgressEvery == 0 {
+			progress(n)
 		}
 	}
-	close(tuples)
-	wg.Wait()
-	n := int(submitted.Load())
-	if srcErr != nil {
-		return n, srcErr
-	}
-	return n, submitErr
+	return n, nil
 }

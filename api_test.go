@@ -192,53 +192,45 @@ func TestValidateCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, mode := range []struct {
-		name string
-		opts []pfd.StreamOption
-	}{
-		{"sharded", []pfd.StreamOption{pfd.WithWorkers(4)}}, // several producers
-		{"single-producer", nil},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			feed := make(chan pfd.Tuple) // never closed
-			go func() {
-				for i := 0; ; i++ {
-					select {
-					case feed <- pfd.Tuple{"zip": fmt.Sprintf("%05d", i%1000), "state": "CA"}:
-					case <-ctx.Done():
-						return
-					}
+	t.Run("single-producer", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		feed := make(chan pfd.Tuple) // never closed
+		go func() {
+			for i := 0; ; i++ {
+				select {
+				case feed <- pfd.Tuple{"zip": fmt.Sprintf("%05d", i%1000), "state": "CA"}:
+				case <-ctx.Done():
+					return
 				}
-			}()
-			go func() {
-				time.Sleep(10 * time.Millisecond)
-				cancel()
-			}()
+			}
+		}()
+		go func() {
+			time.Sleep(10 * time.Millisecond)
+			cancel()
+		}()
 
-			done := make(chan struct{})
-			var valErr error
-			go func() {
-				defer close(done)
-				_, valErr = pfd.Validate(ctx,
-					pfd.FromTuples("live", []string{"zip", "state"}, feed),
-					[]*pfd.PFD{psi}, mode.opts...)
-			}()
-			select {
-			case <-done:
-			case <-time.After(10 * time.Second):
-				t.Fatal("Validate did not return promptly after cancellation")
-			}
-			var ce *pfd.CanceledError
-			if !errors.As(valErr, &ce) || !errors.Is(valErr, context.Canceled) {
-				t.Fatalf("err = %v, want *CanceledError unwrapping context.Canceled", valErr)
-			}
-			if ce.Op != "validate" {
-				t.Errorf("Op = %q, want validate", ce.Op)
-			}
-		})
-	}
+		done := make(chan struct{})
+		var valErr error
+		go func() {
+			defer close(done)
+			_, valErr = pfd.Validate(ctx,
+				pfd.FromTuples("live", []string{"zip", "state"}, feed),
+				[]*pfd.PFD{psi})
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("Validate did not return promptly after cancellation")
+		}
+		var ce *pfd.CanceledError
+		if !errors.As(valErr, &ce) || !errors.Is(valErr, context.Canceled) {
+			t.Fatalf("err = %v, want *CanceledError unwrapping context.Canceled", valErr)
+		}
+		if ce.Op != "validate" {
+			t.Errorf("Op = %q, want validate", ce.Op)
+		}
+	})
 }
 
 // TestValidateWarmupSplit pins the warm/live accounting and handler

@@ -71,7 +71,7 @@ func main() {
 	jsonOut := fs.Bool("json", false, "emit a JSON report on stdout (detect: the pfd.Report envelope; discover: the pfd-discover-report envelope with peak RSS and rows/s)")
 	verbose := fs.Bool("v", false, "report discovery progress per lattice level")
 	oocFlag := fs.Bool("ooc", false, "force out-of-core discovery (discover only; implied by -sample/-chunk-rows/-mem-limit/-spill)")
-	sample := fs.Int("sample", 0, "out-of-core: target sample rows mined in memory (0 = default 64Ki, negative disables)")
+	sample := fs.Int("sample", 0, "out-of-core: target sample rows mined in memory under -sample-verify (0 = default 64Ki, negative disables)")
 	chunkRows := fs.Int("chunk-rows", 0, "out-of-core: rows per ingest chunk (0 = default 64Ki)")
 	memLimit := fs.String("mem-limit", "", "out-of-core: resident chunk-data budget, e.g. 64m or 2g (chunks beyond it spill to .pfdt files)")
 	spillDir := fs.String("spill", "", "out-of-core: directory for spilled chunk snapshots (default: fresh temp dir)")

@@ -11,6 +11,11 @@
 //	Name([name = (John\ )\A*] -> [gender = M])
 //	Name([gender = M] -> [title = Mr])
 //
+// The -implies goal is read with the same grammar as the rules file
+// (pfd.ParseRule, over the one λ-notation line parser): names escape
+// spaces and delimiters the same way, a bare attribute means '_', and
+// the goal may list several RHS attributes.
+//
 // Usage:
 //
 //	pfdinfer -rules rules.pfd -check consistency

@@ -8,8 +8,7 @@
 // Usage:
 //
 //	pfdstream -ref reference.csv [-in stream.csv] [-format csv|jsonl]
-//	          [-workers N] [-warm]
-//	          [-quiet] [-json] [-k 5] [-delta 0.05] [-coverage 0.10]
+//	          [-warm] [-quiet] [-json] [-k 5] [-delta 0.05] [-coverage 0.10]
 //	          [-lhs 1] < stream
 //	pfdstream -rules r.pfd [-ref reference.csv] [flags] < stream
 //
@@ -17,11 +16,9 @@
 // snapshot written by `pfd discover -save-table`, which loads in one
 // sequential read instead of CSV parse + intern — is mined offline
 // with the Figure 4 discovery algorithm; the resulting PFDs then guard
-// the stream through pfd.Validate, from one producer goroutine unless
-// -workers asks for more: one producer numbers rows in input order, so
-// two runs over the same input print the same findings; several
-// producers scale the pattern matching but number rows in arrival
-// order. With -warm (the default) the reference
+// the stream through pfd.Validate, from one producer goroutine that
+// numbers rows in input order, so two runs over the same input print
+// the same findings. With -warm (the default) the reference
 // rows are folded into the engine first, so group consensus exists
 // before the first live tuple (-rules without -ref has no reference to
 // warm from). The live stream comes from stdin, or from a file with
@@ -64,7 +61,6 @@ func main() {
 	rulesPath := flag.String("rules", "", "ruleset artifact to validate against (skips mining)")
 	in := flag.String("in", "", "input stream file (default: stdin)")
 	format := flag.String("format", "csv", "input format: csv (header row) or jsonl")
-	workers := flag.Int("workers", 1, "producer goroutines (more than 1 numbers rows in arrival order, not input order)")
 	warm := flag.Bool("warm", true, "fold the reference rows in before validating")
 	quiet := flag.Bool("quiet", false, "suppress per-violation lines")
 	jsonOut := flag.Bool("json", false, "emit the final report as JSON on stdout (suppresses per-violation lines)")
@@ -159,9 +155,7 @@ func main() {
 		warmRows = refTable.NumRows()
 	}
 
-	nw := max(*workers, 1)
 	opts := []pfd.StreamOption{
-		pfd.WithWorkers(nw),
 		// All modes consume violations through the handler: retaining
 		// them in the engine (which would also keep every retroactive
 		// re-fire and warm-phase finding) grows without bound on long
@@ -211,7 +205,7 @@ func main() {
 	liveRows := val.LiveRows()
 	tps := float64(liveRows) / elapsed.Seconds()
 	if *jsonOut {
-		rep := buildReport(rules.Name, val, elapsed, nw, retroSignals, jsonFindings)
+		rep := buildReport(rules.Name, val, elapsed, retroSignals, jsonFindings)
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rep); err != nil {
@@ -221,8 +215,8 @@ func main() {
 	}
 	out.Flush()
 	fmt.Fprintf(os.Stderr,
-		"pfdstream: checked %d tuples in %s (%.0f tuples/sec, %d workers): %d violations\n",
-		liveRows, elapsed.Round(time.Millisecond), tps, nw, liveViolations)
+		"pfdstream: checked %d tuples in %s (%.0f tuples/sec): %d violations\n",
+		liveRows, elapsed.Round(time.Millisecond), tps, liveViolations)
 	if n := retroSignals; n > 0 {
 		fmt.Fprintf(os.Stderr,
 			"pfdstream: %d retroactive signals (earlier tuples in disagreeing groups are suspect; not counted as live violations)\n", n)
@@ -237,14 +231,13 @@ func main() {
 // and the handler-collected live findings (retroactive signals are a
 // count, for the reasons the command doc explains), with the findings
 // in the report's canonical order (Report.Sort).
-func buildReport(name string, val *pfd.Validation, elapsed time.Duration, workers int, retro int64, findings []pfd.ReportFinding) *pfd.Report {
+func buildReport(name string, val *pfd.Validation, elapsed time.Duration, retro int64, findings []pfd.ReportFinding) *pfd.Report {
 	rep := pfd.NewReport(name)
 	rep.Rows = val.Rows()
 	rep.WarmRows = val.WarmRows()
 	rep.LiveRows = val.LiveRows()
 	rep.LiveViolations = len(findings)
 	rep.RetroSignals = retro
-	rep.Workers = workers
 	rep.SetTiming(elapsed)
 	rep.Violations = append(rep.Violations, findings...)
 	rep.Sort()

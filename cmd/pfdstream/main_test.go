@@ -34,7 +34,7 @@ func TestMain(m *testing.M) {
 
 // TestDefaultRunsAgree pins that pfdstream numbers rows in input order
 // by default: two default runs over the same stream print identical
-// findings, and the same findings as an explicit -workers 1 run.
+// findings.
 func TestDefaultRunsAgree(t *testing.T) {
 	dir := t.TempDir()
 	rules := filepath.Join(dir, "rules.txt")
@@ -79,9 +79,6 @@ func TestDefaultRunsAgree(t *testing.T) {
 	if second := run(); second != first {
 		t.Fatal("two default runs printed different findings")
 	}
-	if one := run("-workers", "1"); one != first {
-		t.Fatal("the default run and -workers 1 printed different findings")
-	}
 }
 
 // TestReportGolden pins the -json report shape: a validation run with
@@ -118,7 +115,7 @@ func TestReportGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep := buildReport("golden", val, 250*time.Millisecond, 2, 3, findings)
+	rep := buildReport("golden", val, 250*time.Millisecond, 3, findings)
 	if got, want := fmt.Sprint(rep.Violations), fmt.Sprint(checkerFindings(t, rules, warm, live)); got != want {
 		t.Errorf("engine findings %s, reference Checker %s", got, want)
 	}
@@ -169,7 +166,7 @@ func TestReportCountsConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := buildReport("counts", val, time.Second, 1, 0, findings)
+	rep := buildReport("counts", val, time.Second, 0, findings)
 	if rep.Rows != 9 || rep.WarmRows != 0 || rep.LiveRows != 9 {
 		t.Errorf("row counts: %+v", rep)
 	}

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"pfd/internal/pfd"
 	"pfd/internal/relation"
 )
 
@@ -19,11 +20,9 @@ type Dep struct {
 	PatternOnly bool
 }
 
-// Key renders the dependency like "[zip] -> [city]" to match the
-// discovery output.
-func (d Dep) Key() string {
-	return "[" + strings.Join(d.LHS, ",") + "] -> [" + d.RHS + "]"
-}
+// Key renders the dependency like "[zip] -> [city]" (pfd.EmbeddedFD)
+// to match the discovery output.
+func (d Dep) Key() string { return pfd.EmbeddedFD(d.LHS, d.RHS) }
 
 // Truth is the generator's oracle for one table.
 type Truth struct {

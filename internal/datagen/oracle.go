@@ -35,22 +35,3 @@ func Zip3ToCity() map[string]string {
 	}
 	return out
 }
-
-// Zip3ToState maps determining 3-digit zip prefixes to states.
-func Zip3ToState() map[string]string {
-	out := make(map[string]string, len(cities))
-	for _, c := range cities {
-		out[c.zip3] = c.state
-	}
-	return out
-}
-
-// DeptCodeToName maps employee-ID letters to department names (the
-// F-9-107 example of the introduction).
-func DeptCodeToName() map[string]string {
-	out := make(map[string]string, len(departments))
-	for _, d := range departments {
-		out[d.code] = d.name
-	}
-	return out
-}

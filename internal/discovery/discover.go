@@ -33,10 +33,8 @@ type Result struct {
 	Params       Params
 }
 
-// Embedded renders the dependency's embedded FD.
-func (d *Dependency) Embedded() string {
-	return "[" + strings.Join(d.LHS, ",") + "] -> [" + d.RHS + "]"
-}
+// Embedded renders the dependency's embedded FD (pfd.EmbeddedFD).
+func (d *Dependency) Embedded() string { return pfd.EmbeddedFD(d.LHS, d.RHS) }
 
 // Progress reports discovery progress at lattice-level boundaries. It
 // is delivered to the DiscoverContext callback from the coordinating

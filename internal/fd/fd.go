@@ -7,11 +7,10 @@
 package fd
 
 import (
-	"fmt"
 	"math/bits"
 	"sort"
-	"strings"
 
+	"pfd/internal/pfd"
 	"pfd/internal/relation"
 )
 
@@ -69,9 +68,10 @@ type FD struct {
 	RHS int
 }
 
-// String renders the FD against a table's column names.
+// String renders the FD against a table's column names, as the
+// embedded-FD key pfd.EmbeddedFD.
 func (f FD) String(t *relation.Table) string {
-	return fmt.Sprintf("[%s] -> [%s]", strings.Join(f.LHS.Names(t), ","), t.Cols[f.RHS])
+	return pfd.EmbeddedFD(f.LHS.Names(t), t.Cols[f.RHS])
 }
 
 // SortFDs orders FDs deterministically (by RHS, then LHS mask).

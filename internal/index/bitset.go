@@ -38,13 +38,6 @@ func NewBitsetBatch(count, n int) []Bitset {
 	return out
 }
 
-// FromWords wraps a kernel bitmap over ids [0, n) as a Bitset without
-// copying — the bridge from pfd.LHSMatchBitmap into index set algebra.
-// The caller must not retain words.
-func FromWords(words []uint64, n int) *Bitset {
-	return &Bitset{words: words, n: n}
-}
-
 // Set adds id to the set.
 func (b *Bitset) Set(id int) { b.words[id>>6] |= 1 << (uint(id) & 63) }
 

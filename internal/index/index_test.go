@@ -166,23 +166,6 @@ func TestMinIDsFilter(t *testing.T) {
 	}
 }
 
-func TestPositionGroups(t *testing.T) {
-	tb := relation.New("T", "name")
-	tb.Append("John Smith")
-	tb.Append("John Stone")
-	tb.Append("Mary Smith")
-	profs := relation.ProfileTable(tb)
-	inv := Build(tb, profs, nil, Options{})
-	groups := inv.Attrs["name"].PositionGroups()
-	if len(groups) == 0 {
-		t.Fatal("no groups")
-	}
-	// Position 0 (first names) has support 3 and must lead.
-	if groups[0][0].Key.Pos != 0 {
-		t.Errorf("dominant group at pos %d, want 0", groups[0][0].Key.Pos)
-	}
-}
-
 func TestNumPatterns(t *testing.T) {
 	tb := zipTable()
 	profs := relation.ProfileTable(tb)

@@ -482,41 +482,6 @@ func equalLists(a, b []int32) bool {
 	return true
 }
 
-// PositionGroups implements the single-semantics optimization (§4.4):
-// postings are grouped by position and groups are returned by descending
-// total support, so callers can focus on the dominant positional role
-// (e.g. first tokens of names, leading digits of zips).
-func (a *Attribute) PositionGroups() [][]Entry {
-	byPos := map[int][]Entry{}
-	for _, e := range a.Entries {
-		byPos[e.Key.Pos] = append(byPos[e.Key.Pos], e)
-	}
-	type group struct {
-		pos     int
-		support int
-		entries []Entry
-	}
-	groups := make([]group, 0, len(byPos))
-	for pos, es := range byPos {
-		s := 0
-		for _, e := range es {
-			s += e.Count()
-		}
-		groups = append(groups, group{pos: pos, support: s, entries: es})
-	}
-	sort.Slice(groups, func(i, j int) bool {
-		if groups[i].support != groups[j].support {
-			return groups[i].support > groups[j].support
-		}
-		return groups[i].pos < groups[j].pos
-	})
-	out := make([][]Entry, len(groups))
-	for i, g := range groups {
-		out[i] = g.entries
-	}
-	return out
-}
-
 // Lookup returns the posting for a key, or nil.
 func (a *Attribute) Lookup(k Key) *Bitset {
 	if a.byKey != nil {

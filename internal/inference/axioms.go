@@ -11,8 +11,6 @@ package inference
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"pfd/internal/pattern"
 	"pfd/internal/pfd"
@@ -58,24 +56,6 @@ func (r *Rule) Clone() *Rule {
 		out.RHS[k] = v
 	}
 	return out
-}
-
-// String renders the rule in the paper's notation.
-func (r *Rule) String() string {
-	return fmt.Sprintf("%s([%s] -> [%s])", r.Relation, sideString(r.LHS), sideString(r.RHS))
-}
-
-func sideString(side map[string]pfd.Cell) string {
-	attrs := make([]string, 0, len(side))
-	for a := range side {
-		attrs = append(attrs, a)
-	}
-	sort.Strings(attrs)
-	parts := make([]string, len(attrs))
-	for i, a := range attrs {
-		parts[i] = fmt.Sprintf("%s = %s", a, side[a])
-	}
-	return strings.Join(parts, ", ")
 }
 
 // cellRestricts reports tp[A] ⊆ t'p[A]: equivalence under a refines

@@ -1,42 +1,30 @@
 package inference
 
 import (
-	"fmt"
-	"strings"
+	"sort"
 
 	"pfd/internal/pfd"
 )
 
-// ParseRule reads the paper's textual constraint notation:
+// ParseRule reads the paper's textual constraint notation through the
+// one λ-notation grammar, pfd.ParseLine:
 //
 //	Name([name = (John\ )\A*] -> [gender = M])
 //	Zip([zip = (\D{3})\D{2}] -> [city = _])
 //
-// Each side is a bracketed, comma-separated list of "attr = cell", where
-// a cell is '_' (the unnamed variable ⊥), a constrained pattern in the
-// pattern syntax, or — when it contains no pattern meta-runes — a bare
-// constant treated as a fully-constrained literal (M above).
+// Either side may list several attributes; a bare attribute is the
+// unnamed variable '_'.
 func ParseRule(src string) (*Rule, error) {
-	s := strings.TrimSpace(src)
-	open := strings.IndexByte(s, '(')
-	if open <= 0 || !strings.HasSuffix(s, ")") {
-		return nil, fmt.Errorf("inference: rule %q: want Relation([...] -> [...])", src)
+	l, err := pfd.ParseLine(src)
+	if err != nil {
+		return nil, err
 	}
-	rel := strings.TrimSpace(s[:open])
-	body := s[open+1 : len(s)-1]
-	lhsPart, rhsPart, found := cutArrow(body)
-	if !found {
-		return nil, fmt.Errorf("inference: rule %q: missing ->", src)
+	r := NewRule(l.Relation)
+	for _, t := range l.LHS {
+		r.LHS[t.Attr] = t.Cell
 	}
-	r := NewRule(rel)
-	if err := parseSide(lhsPart, r.LHS); err != nil {
-		return nil, fmt.Errorf("inference: rule %q LHS: %w", src, err)
-	}
-	if err := parseSide(rhsPart, r.RHS); err != nil {
-		return nil, fmt.Errorf("inference: rule %q RHS: %w", src, err)
-	}
-	if len(r.LHS) == 0 || len(r.RHS) == 0 {
-		return nil, fmt.Errorf("inference: rule %q: empty side", src)
+	for _, t := range l.RHS {
+		r.RHS[t.Attr] = t.Cell
 	}
 	return r, nil
 }
@@ -50,83 +38,17 @@ func MustParseRule(src string) *Rule {
 	return r
 }
 
-// cutArrow splits at the top-level "->" (outside brackets, escape
-// pairs skipped — rendered cells escape the grammar delimiters).
-func cutArrow(s string) (string, string, bool) {
-	depth := 0
-	for i := 0; i+1 < len(s); i++ {
-		switch s[i] {
-		case '\\':
-			i++ // skip the escaped byte
-		case '[':
-			depth++
-		case ']':
-			depth--
-		case '-':
-			if depth == 0 && s[i+1] == '>' {
-				return s[:i], s[i+2:], true
-			}
-		}
-	}
-	return "", "", false
+// String renders the rule in the paper's notation through pfd.Line's
+// printer, each side's attributes sorted.
+func (r *Rule) String() string {
+	return pfd.Line{Relation: r.Relation, LHS: terms(r.LHS), RHS: terms(r.RHS)}.String()
 }
 
-// parseSide reads "[a = cell, b = cell]" into the map.
-func parseSide(s string, into map[string]pfd.Cell) error {
-	s = strings.TrimSpace(s)
-	if !strings.HasPrefix(s, "[") || !strings.HasSuffix(s, "]") {
-		return fmt.Errorf("want [attr = cell, ...], got %q", s)
+func terms(side map[string]pfd.Cell) []pfd.Term {
+	out := make([]pfd.Term, 0, len(side))
+	for a, c := range side {
+		out = append(out, pfd.Term{Attr: a, Cell: c})
 	}
-	body := s[1 : len(s)-1]
-	for _, item := range splitTop(body) {
-		attr, cellSrc, found := strings.Cut(item, "=")
-		if !found {
-			// A bare attribute name means the unnamed variable.
-			name := strings.TrimSpace(item)
-			if name == "" {
-				continue
-			}
-			into[name] = pfd.Wildcard()
-			continue
-		}
-		name := strings.TrimSpace(attr)
-		cell, err := parseCell(strings.TrimSpace(cellSrc))
-		if err != nil {
-			return fmt.Errorf("attribute %q: %w", name, err)
-		}
-		into[name] = cell
-	}
-	return nil
-}
-
-// splitTop splits on commas not inside braces (pattern {N} quantifiers)
-// and not escaped.
-func splitTop(s string) []string {
-	var out []string
-	depth := 0
-	start := 0
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '\\':
-			i++ // skip escaped rune
-		case '{':
-			depth++
-		case '}':
-			depth--
-		case ',':
-			if depth == 0 {
-				out = append(out, s[start:i])
-				start = i + 1
-			}
-		}
-	}
-	out = append(out, s[start:])
+	sort.Slice(out, func(i, j int) bool { return out[i].Attr < out[j].Attr })
 	return out
-}
-
-// parseCell reads one tableau cell via the shared grammar
-// (pfd.ParseCell): '_'/'⊥' wildcard, pattern syntax, or a bare
-// constant treated as a fully-constrained literal.
-func parseCell(s string) (pfd.Cell, error) {
-	return pfd.ParseCell(s)
 }

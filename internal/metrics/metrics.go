@@ -4,7 +4,6 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -116,14 +115,4 @@ func (t *Table) String() string {
 		writeRow(r)
 	}
 	return b.String()
-}
-
-// SortedKeys returns map keys in sorted order, for deterministic output.
-func SortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

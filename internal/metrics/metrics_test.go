@@ -71,14 +71,6 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestSortedKeys(t *testing.T) {
-	m := map[string]int{"b": 1, "a": 2, "c": 3}
-	ks := SortedKeys(m)
-	if len(ks) != 3 || ks[0] != "a" || ks[2] != "c" {
-		t.Errorf("SortedKeys = %v", ks)
-	}
-}
-
 func TestPRString(t *testing.T) {
 	got := (PR{Precision: 0.78, Recall: 0.93}).String()
 	if got != "P=78.0% R=93.0%" {

@@ -16,7 +16,10 @@ func Discover(ctx context.Context, src source.Source, opt Options) (*Result, err
 	if opt.ChunkRows <= 0 {
 		opt.ChunkRows = DefaultChunkRows
 	}
-	if opt.SampleRows == 0 {
+	switch {
+	case opt.Verify != VerifySample:
+		opt.SampleRows = -1 // only the sample screen mines the sample
+	case opt.SampleRows == 0:
 		opt.SampleRows = DefaultSampleRows
 	}
 	res := &Result{Name: src.Name(), Params: opt.Params}

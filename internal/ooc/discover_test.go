@@ -41,7 +41,7 @@ func renderDeps(deps []*discovery.Dependency) string {
 
 // TestOOCDifferential pins DiscoverOutOfCore byte-identical to
 // in-memory discovery on every T1–T15 workload, with 8+ chunks and a
-// 10% sample under full verification.
+// 10% sample target under full verification, which collects no sample.
 func TestOOCDifferential(t *testing.T) {
 	ctx := context.Background()
 	params := discovery.DefaultParams()
@@ -69,6 +69,9 @@ func TestOOCDifferential(t *testing.T) {
 			}
 			if res.Stats.Rows != tbl.NumRows() {
 				t.Fatalf("Stats.Rows = %d, want %d", res.Stats.Rows, tbl.NumRows())
+			}
+			if res.Stats.SampleRows != 0 {
+				t.Fatalf("full verification sampled %d rows; only VerifySample mines a sample", res.Stats.SampleRows)
 			}
 		})
 	}

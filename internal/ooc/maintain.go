@@ -42,17 +42,12 @@ func NewMaintainer(pfds []*pfd.PFD, params discovery.Params) *Maintainer {
 		byKey:  make(map[string]*maintained, len(pfds)),
 	}
 	for _, p := range pfds {
-		r := &maintained{p: p, embedded: embeddedOf(p)}
+		r := &maintained{p: p, embedded: p.Embedded()}
 		m.rules = append(m.rules, r)
 		m.byPFD[p] = r
 		m.byKey[r.embedded] = r
 	}
 	return m
-}
-
-func embeddedOf(p *pfd.PFD) string {
-	d := discovery.Dependency{LHS: p.LHS, RHS: p.RHS}
-	return d.Embedded()
 }
 
 // Seed initializes one rule's counters from prior evidence (the
@@ -87,7 +82,7 @@ func (m *Maintainer) ObserveViolation(p *pfd.PFD) {
 	defer m.mu.Unlock()
 	r, ok := m.byPFD[p]
 	if !ok {
-		if r, ok = m.byKey[embeddedOf(p)]; !ok {
+		if r, ok = m.byKey[p.Embedded()]; !ok {
 			return
 		}
 	}

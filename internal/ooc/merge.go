@@ -2,6 +2,7 @@ package ooc
 
 import (
 	"fmt"
+	"slices"
 
 	"pfd/internal/relation"
 )
@@ -50,7 +51,7 @@ func (m *DictMerger) Merge(t *relation.Table) ([][]uint32, error) {
 		for i := range m.cols {
 			m.lookup[i] = make(map[string]uint32)
 		}
-	} else if !equalStrings(t.Cols, m.cols) {
+	} else if !slices.Equal(t.Cols, m.cols) {
 		return nil, fmt.Errorf("ooc: chunk columns %v do not match %v", t.Cols, m.cols)
 	}
 	remaps := make([][]uint32, len(m.cols))
@@ -98,16 +99,4 @@ func (m *DictMerger) Profiles() []relation.ColumnProfile {
 		out[i] = relation.ProfileValues(c, m.dicts[i], m.counts[i])
 	}
 	return out
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -66,8 +66,9 @@ type Options struct {
 	// define their own chunk boundaries. 0 means DefaultChunkRows.
 	ChunkRows int
 	// SampleRows is the target size of the deterministic systematic
-	// sample that VerifySample mines for its candidate screen. 0 means
-	// DefaultSampleRows; negative disables sampling.
+	// sample that VerifySample mines for its candidate screen; no other
+	// mode collects one. 0 means DefaultSampleRows; negative disables
+	// sampling.
 	SampleRows int
 	// MemLimit caps the bytes of chunk data kept resident; beyond it,
 	// ingested chunks spill to .pfdt snapshots in SpillDir. It also
@@ -102,7 +103,7 @@ type Stats struct {
 	SpilledBytes  int64 // bytes in spill files
 	PeakResident  int64 // peak estimated bytes of resident chunk data
 
-	SampleRows   int   // rows in the sample
+	SampleRows   int   // rows in the sample (0 unless VerifySample)
 	SampleStride int64 // final systematic-sample stride
 
 	Candidates    int // lattice candidates considered

@@ -4,11 +4,11 @@ import (
 	"context"
 	"runtime"
 	"sort"
-	"strings"
 
 	"pfd/internal/discovery"
 	"pfd/internal/kernel"
 	"pfd/internal/lattice"
+	"pfd/internal/pfd"
 	"pfd/internal/relation"
 )
 
@@ -248,16 +248,9 @@ func candCols(c lattice.Candidate) []int {
 // candKey renders a candidate as its embedded-FD string, the screen
 // key sample mining produces.
 func candKey(names []string, c lattice.Candidate) string {
-	var sb strings.Builder
-	sb.WriteByte('[')
+	lhs := make([]string, len(c.LHS))
 	for i, l := range c.LHS {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(names[l])
+		lhs[i] = names[l]
 	}
-	sb.WriteString("] -> [")
-	sb.WriteString(names[c.RHS])
-	sb.WriteByte(']')
-	return sb.String()
+	return pfd.EmbeddedFD(lhs, names[c.RHS])
 }

@@ -144,45 +144,3 @@ func GeneralizeFirstToken(tokens []string, sep rune) *Pattern {
 	toks = append(toks, Star(Any))
 	return NewConstrained(toks, 0, n)
 }
-
-// GeneralizePrefix builds a variable pattern with the first n runes of the
-// shape constrained: e.g. for 5-digit zips with a 3-digit determining
-// prefix, (\D{3})\D{2}. whole is the unconstrained shape of the full
-// values; n is the rune length of the determining prefix. It returns nil
-// when the shape cannot be split at rune position n on a token boundary or
-// inside a fixed token.
-func GeneralizePrefix(whole *Pattern, n int) *Pattern {
-	if whole == nil {
-		return nil
-	}
-	var toks []Token
-	consumed := 0
-	for i, t := range whole.Tokens {
-		if consumed == n {
-			cut := len(toks)
-			toks = append(toks, whole.Tokens[i:]...)
-			return NewConstrained(toks, 0, cut)
-		}
-		if !t.Fixed() {
-			return nil
-		}
-		switch {
-		case consumed+t.Min <= n:
-			toks = append(toks, t)
-			consumed += t.Min
-		default:
-			// Split a fixed token at the boundary.
-			left := n - consumed
-			toks = append(toks, Token{Class: t.Class, Lit: t.Lit, Min: left, Max: left})
-			cut := len(toks)
-			rest := t.Min - left
-			toks = append(toks, Token{Class: t.Class, Lit: t.Lit, Min: rest, Max: rest})
-			toks = append(toks, whole.Tokens[i+1:]...)
-			return NewConstrained(toks, 0, cut)
-		}
-	}
-	if consumed == n {
-		return NewConstrained(toks, 0, len(toks))
-	}
-	return nil
-}

@@ -338,33 +338,6 @@ func TestGeneralizeFirstToken(t *testing.T) {
 	}
 }
 
-func TestGeneralizePrefix(t *testing.T) {
-	whole := MustParse(`\D{5}`)
-	g := GeneralizePrefix(whole, 3)
-	if g == nil {
-		t.Fatal("prefix split must succeed")
-	}
-	if got := g.String(); got != `(\D{3})\D{2}` {
-		t.Errorf("GeneralizePrefix = %q", got)
-	}
-	if !g.Equivalent("90001", "90002") || g.Equivalent("90001", "91001") {
-		t.Error("prefix equivalence wrong")
-	}
-	if GeneralizePrefix(MustParse(`\D*`), 3) != nil {
-		t.Error("unbounded token cannot be split")
-	}
-	if GeneralizePrefix(whole, 5).String() != `(\D{5})` {
-		t.Error("full-length prefix must fully constrain")
-	}
-	if GeneralizePrefix(whole, 6) != nil {
-		t.Error("prefix longer than pattern must fail")
-	}
-	two := MustParse(`\LU{2}\D{3}`)
-	if got := GeneralizePrefix(two, 2).String(); got != `(\LU{2})\D{3}` {
-		t.Errorf("token-boundary split = %q", got)
-	}
-}
-
 func TestLangContainsConsecutiveUnbounded(t *testing.T) {
 	// Regression: the Kleene loop of each unbounded token must live on
 	// its own NFA state; sharing the state let \LU+\S* accept

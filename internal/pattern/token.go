@@ -28,9 +28,6 @@ func Lit(r rune) Token { return Token{Class: Literal, Lit: r, Min: 1, Max: 1} }
 // Exactly returns a token matching class c repeated exactly n times.
 func Exactly(c Class, n int) Token { return Token{Class: c, Min: n, Max: n} }
 
-// Plus returns a token matching one or more runes of class c.
-func Plus(c Class) Token { return Token{Class: c, Min: 1, Max: Unbounded} }
-
 // Star returns a token matching zero or more runes of class c.
 func Star(c Class) Token { return Token{Class: c, Min: 0, Max: Unbounded} }
 
@@ -48,18 +45,6 @@ func (t Token) Fixed() bool { return t.Max == t.Min }
 // Constant reports whether the token matches exactly one string (a literal
 // repeated a fixed number of times).
 func (t Token) Constant() bool { return t.Class == Literal && t.Fixed() }
-
-// LabelSubsumes reports whether the label (class/literal) of t generates a
-// superset of the runes generated by the label of u.
-func (t Token) LabelSubsumes(u Token) bool {
-	if t.Class == Literal {
-		return u.Class == Literal && t.Lit == u.Lit
-	}
-	if u.Class == Literal {
-		return t.Class.Contains(u.Lit)
-	}
-	return t.Class.Subsumes(u.Class)
-}
 
 // String renders the token in the paper's syntax, escaping runes that are
 // meta-characters of the textual pattern language.
@@ -100,7 +85,7 @@ func (t Token) render(b *strings.Builder) {
 // the pattern meta-runes it also escapes the tableau-grammar
 // delimiters (',', ';', '[', ']') so a rendered cell can be embedded
 // in a λ-notation rule line and split back apart unambiguously
-// (pfd.ParsePFD, inference.ParseRule).
+// (pfd.ParseLine).
 func writeLit(b *strings.Builder, r rune) {
 	switch r {
 	case '\\', '(', ')', '{', '}', '+', '*', ' ', '_', ',', ';', '[', ']':

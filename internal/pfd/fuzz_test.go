@@ -3,6 +3,7 @@ package pfd
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -48,6 +49,47 @@ func FuzzParsePFD(f *testing.F) {
 			t.Fatalf("render not a fixpoint:\n in  %q\n 1st %q\n 2nd %q", src, rendered, got)
 		}
 	})
+}
+
+// FuzzParseLine pins the line codec every rule text goes through:
+// any line ParseLine accepts, multi-attribute RHS and bare attributes
+// included, prints to text that parses back to an equal line, and
+// printing that again changes nothing. CI runs a short -fuzz smoke over
+// this target.
+func FuzzParseLine(f *testing.F) {
+	for _, seed := range []string{
+		`Zip([zip = (900)\D{2}] -> [city = Los\ Angeles])`,
+		`R([zip = (900)\D{2}] -> [city = LA, state = CA])`,
+		`R([a, b = x] -> [c])`,
+		`People([first\ name = (John\ )\A*] -> [gender = M])`,
+		`R\,S([a\=b = _, \[c\] = (\D{1,3})\S*] -> [d\;e = ⊥])`,
+		`R([a = ()] -> [b = a\_b, c = \[brack\]et])`,
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		l, err := ParseLine(src)
+		if err != nil {
+			return // malformed input is allowed to fail, not to panic
+		}
+		printed := l.String()
+		again, err := ParseLine(printed)
+		if err != nil {
+			t.Fatalf("print of accepted input does not re-parse:\n in  %q\n out %q\n err %v", src, printed, err)
+		}
+		if !linesEqual(l, again) {
+			t.Fatalf("re-parse drifted:\n in  %q\n 1st %s\n 2nd %s", src, l, again)
+		}
+		if got := again.String(); got != printed {
+			t.Fatalf("print not a fixpoint:\n in  %q\n 1st %q\n 2nd %q", src, printed, got)
+		}
+	})
+}
+
+func linesEqual(a, b Line) bool {
+	termsEqual := func(x, y Term) bool { return x.Attr == y.Attr && x.Cell.Equal(y.Cell) }
+	return a.Relation == b.Relation &&
+		slices.EqualFunc(a.LHS, b.LHS, termsEqual) && slices.EqualFunc(a.RHS, b.RHS, termsEqual)
 }
 
 // FuzzEvalColumnSpans pins the one-pass column bind, which the planner

@@ -2,25 +2,98 @@ package pfd
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"pfd/internal/pattern"
 )
 
-// This file implements the inverse of PFD.String()/Cell.String(): a
-// parser for the paper's λ-notation, so rule artifacts written by one
-// run can be loaded by another. The grammar (also documented in
-// DESIGN.md and cmd/pfdinfer) is, per line:
+// This file holds the one text codec for the paper's λ-notation: a
+// line parser (ParseLine) and its printer (Line.String), which rule
+// files, PFD.String/ParsePFD and the inference rules all go through.
+// The grammar (also documented in DESIGN.md and cmd/pfdinfer) is, per
+// line:
 //
-//	pfd     := row *( ";" row ) | empty
-//	row     := Relation "(" "[" item *( "," item ) "]" "->" "[" item "]" ")"
-//	item    := attr "=" cell
-//	empty   := Relation "(" "[" attrs "]" "->" "[" attr "]" ", Tp=∅" ")"
+//	line    := Relation "(" side "->" side ")"
+//	side    := "[" item *( "," item ) "]"
+//	item    := attr "=" cell | attr          (a bare attr means "_")
 //	cell    := "_" | "⊥" | pattern | bare-constant
+//	pfd     := row *( ";" row ) | empty
+//	row     := line with exactly one RHS item (normal form)
+//	empty   := Relation "(" "[" attrs "]" "->" "[" attr "]" ", Tp=∅" ")"
 //
 // Cells render with the tableau delimiters (',', ';', '[', ']'),
-// spaces, and '_' backslash-escaped (pattern.Token.String), so the
-// splits below are unambiguous when they skip escape pairs.
+// spaces, and '_' backslash-escaped (pattern.Token.String), and names
+// with those plus '=', parens and braces (writeName), so the splits
+// below are unambiguous when they skip escape pairs.
+
+// Term is one "attr = cell" item of a λ-notation side.
+type Term struct {
+	Attr string
+	Cell Cell
+}
+
+// Line is one λ-notation constraint, Relation([a = cell, b] -> [c = cell, …]).
+// Either side may list several attributes, in written order.
+type Line struct {
+	Relation string
+	LHS, RHS []Term
+}
+
+// ParseLine reads one λ-notation constraint,
+//
+//	Zip([zip = (900)\D{2}] -> [city = Los\ Angeles])
+//
+// Either side may list several attributes; a bare attribute (no
+// "= cell") is the unnamed variable '_'.
+func ParseLine(src string) (Line, error) {
+	s := strings.TrimSpace(src)
+	open := indexUnescaped(s, '(')
+	if open <= 0 || !strings.HasSuffix(s, ")") {
+		return Line{}, fmt.Errorf("pfd: rule %q: want Relation([...] -> [...])", src)
+	}
+	lhsPart, rhsPart, found := cutTopLevel(s[open+1:len(s)-1], "->")
+	if !found {
+		return Line{}, fmt.Errorf("pfd: rule %q: missing ->", src)
+	}
+	l := Line{Relation: unescapeName(trimUnescaped(s[:open]))}
+	var err error
+	if l.LHS, err = parseSide(lhsPart); err != nil {
+		return Line{}, fmt.Errorf("pfd: rule %q LHS: %w", src, err)
+	}
+	if l.RHS, err = parseSide(rhsPart); err != nil {
+		return Line{}, fmt.Errorf("pfd: rule %q RHS: %w", src, err)
+	}
+	return l, nil
+}
+
+// String prints the line in the grammar ParseLine reads, names escaped
+// and every cell written out ("a = _" for a bare attribute).
+func (l Line) String() string {
+	var b strings.Builder
+	l.write(&b)
+	return b.String()
+}
+
+func (l Line) write(b *strings.Builder) {
+	writeName(b, l.Relation)
+	b.WriteString("([")
+	writeTerms(b, l.LHS)
+	b.WriteString("] -> [")
+	writeTerms(b, l.RHS)
+	b.WriteString("])")
+}
+
+func writeTerms(b *strings.Builder, terms []Term) {
+	for i, t := range terms {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		writeName(b, t.Attr)
+		b.WriteString(" = ")
+		t.Cell.render(b)
+	}
+}
 
 // ParseCell reads one tableau cell: '_' (or '⊥') is the wildcard, a
 // string containing pattern meta-runes is parsed in the pattern
@@ -53,46 +126,27 @@ func ParseCell(src string) (Cell, error) {
 	return Pat(p), nil
 }
 
-// ParseTableauRow reads one λ-notation constraint,
+// ParseTableauRow reads one normal-form λ-notation constraint,
 //
 //	Zip([zip = (900)\D{2}] -> [city = Los\ Angeles])
 //
 // returning the relation name, the LHS attributes in written order,
 // the RHS attribute, and the parsed tableau row.
 func ParseTableauRow(src string) (relation string, lhs []string, rhs string, row Row, err error) {
-	s := strings.TrimSpace(src)
-	open := indexUnescaped(s, '(')
-	if open <= 0 || !strings.HasSuffix(s, ")") {
-		err = fmt.Errorf("pfd: rule %q: want Relation([...] -> [...])", src)
-		return
-	}
-	relation = unescapeName(trimUnescaped(s[:open]))
-	lhsPart, rhsPart, found := cutTopLevel(s[open+1:len(s)-1], "->")
-	if !found {
-		err = fmt.Errorf("pfd: rule %q: missing ->", src)
-		return
-	}
-	lhs, lhsCells, err := parseRowSide(lhsPart)
+	l, err := ParseLine(src)
 	if err != nil {
-		err = fmt.Errorf("pfd: rule %q LHS: %w", src, err)
 		return
 	}
-	if len(lhs) == 0 {
-		err = fmt.Errorf("pfd: rule %q: empty LHS", src)
+	if len(l.RHS) != 1 {
+		err = fmt.Errorf("pfd: rule %q: want exactly one RHS attribute (normal form), got %d", src, len(l.RHS))
 		return
 	}
-	rhsAttrs, rhsCells, err := parseRowSide(rhsPart)
-	if err != nil {
-		err = fmt.Errorf("pfd: rule %q RHS: %w", src, err)
-		return
+	lhs = make([]string, len(l.LHS))
+	row = Row{LHS: make([]Cell, len(l.LHS)), RHS: l.RHS[0].Cell}
+	for i, t := range l.LHS {
+		lhs[i], row.LHS[i] = t.Attr, t.Cell
 	}
-	if len(rhsAttrs) != 1 {
-		err = fmt.Errorf("pfd: rule %q: want exactly one RHS attribute (normal form), got %d", src, len(rhsAttrs))
-		return
-	}
-	rhs = rhsAttrs[0]
-	row = Row{LHS: lhsCells, RHS: rhsCells[0]}
-	return
+	return l.Relation, lhs, l.RHS[0].Attr, row, nil
 }
 
 // ParsePFD parses the full λ-notation rendering of a PFD — one or
@@ -101,8 +155,8 @@ func ParseTableauRow(src string) (relation string, lhs []string, rhs string, row
 // share the relation, the LHS attribute list, and the RHS attribute.
 func ParsePFD(src string) (*PFD, error) {
 	s := strings.TrimSpace(src)
-	if rel, lhs, rhs, ok := parseEmptyForm(s); ok {
-		return New(rel, lhs, rhs)
+	if body, ok := strings.CutSuffix(s, emptyMarker); ok {
+		return parseEmptyForm(src, body+")")
 	}
 	var (
 		relation string
@@ -121,7 +175,7 @@ func ParsePFD(src string) (*PFD, error) {
 			if rel != relation {
 				return nil, fmt.Errorf("pfd: %q: tableau row %d changes relation %q -> %q", src, i, relation, rel)
 			}
-			if !equalStrings(rowLHS, lhs) || rowRHS != rhs {
+			if !slices.Equal(rowLHS, lhs) || rowRHS != rhs {
 				return nil, fmt.Errorf("pfd: %q: tableau row %d changes the embedded FD", src, i)
 			}
 		}
@@ -139,62 +193,51 @@ func MustParsePFD(src string) *PFD {
 	return p
 }
 
-// parseEmptyForm recognizes "Rel([a,b] -> [c], Tp=∅)".
-func parseEmptyForm(s string) (relation string, lhs []string, rhs string, ok bool) {
-	const marker = ", Tp=∅)"
-	if !strings.HasSuffix(s, marker) {
-		return
+// emptyMarker ends the empty-tableau form "Rel([a,b] -> [c], Tp=∅)".
+const emptyMarker = ", Tp=∅)"
+
+// parseEmptyForm reads the empty-tableau form, its marker already
+// replaced by the line's closing paren: the sides list attributes
+// only, with one RHS attribute.
+func parseEmptyForm(src, line string) (*PFD, error) {
+	rel, lhs, rhs, row, err := ParseTableauRow(line)
+	if err != nil {
+		return nil, err
 	}
-	open := indexUnescaped(s, '(')
-	if open <= 0 {
-		return
+	for _, c := range append(row.LHS, row.RHS) {
+		if !c.IsWildcard() {
+			return nil, fmt.Errorf("pfd: %q: the empty-tableau form lists attributes, not cells", src)
+		}
 	}
-	relation = unescapeName(trimUnescaped(s[:open]))
-	body := s[open+1 : len(s)-len(marker)]
-	lhsPart, rhsPart, found := cutTopLevel(body, "->")
-	if !found {
-		return
-	}
-	lhsBody, err1 := unbracket(lhsPart)
-	rhsBody, err2 := unbracket(rhsPart)
-	if err1 != nil || err2 != nil {
-		return
-	}
-	for _, a := range splitTopLevel(lhsBody, ',') {
-		lhs = append(lhs, unescapeName(trimUnescaped(a)))
-	}
-	rhs = unescapeName(trimUnescaped(rhsBody))
-	ok = len(lhs) > 0 && rhs != ""
-	return
+	return New(rel, lhs, rhs)
 }
 
-// parseRowSide reads "[a = cell, b = cell]" into parallel slices,
-// preserving written attribute order.
-func parseRowSide(s string) (attrs []string, cells []Cell, err error) {
+// parseSide reads "[a = cell, b]" in written order.
+func parseSide(s string) ([]Term, error) {
 	body, err := unbracket(s)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	for _, item := range splitTopLevel(body, ',') {
+	items := splitTopLevel(body, ',')
+	terms := make([]Term, len(items))
+	for i, item := range items {
 		// Cut at the first unescaped '=' — the attr/cell separator; an
 		// attribute name containing '=' arrives escaped (writeName).
-		eq := indexUnescaped(item, '=')
-		if eq < 0 {
-			return nil, nil, fmt.Errorf("item %q: want attr = cell", strings.TrimSpace(item))
+		attr, cellSrc := item, "_"
+		if eq := indexUnescaped(item, '='); eq >= 0 {
+			attr, cellSrc = item[:eq], trimUnescaped(item[eq+1:])
 		}
-		attr, cellSrc := item[:eq], item[eq+1:]
 		name := unescapeName(trimUnescaped(attr))
 		if name == "" {
-			return nil, nil, fmt.Errorf("item %q: empty attribute name", strings.TrimSpace(item))
+			return nil, fmt.Errorf("item %q: empty attribute name", strings.TrimSpace(item))
 		}
-		cell, err := ParseCell(trimUnescaped(cellSrc))
+		cell, err := ParseCell(cellSrc)
 		if err != nil {
-			return nil, nil, fmt.Errorf("attribute %q: %w", name, err)
+			return nil, fmt.Errorf("attribute %q: %w", name, err)
 		}
-		attrs = append(attrs, name)
-		cells = append(cells, cell)
+		terms[i] = Term{Attr: name, Cell: cell}
 	}
-	return attrs, cells, nil
+	return terms, nil
 }
 
 // unbracket strips one "[ ... ]" layer.
@@ -327,16 +370,4 @@ func splitTopLevel(s string, sep byte) []string {
 		}
 	}
 	return append(out, s[start:])
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -2,6 +2,7 @@ package pfd
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -87,12 +88,32 @@ func TestParseTableauRowRejects(t *testing.T) {
 		"R([a = _])",                   // missing ->
 		"R([] -> [c = _])",             // empty LHS
 		"R([a = _] -> [b = _, c = _])", // multi-RHS: not normal form
-		"R([a] -> [c = _])",            // bare attr without cell
+		"R([a = _,] -> [c = _])",       // empty item
+		"R([a = ] -> [c = _])",         // empty cell
 		`R([a = (] -> [c = _])`,        // bad pattern
 	} {
 		if _, _, _, _, err := ParseTableauRow(src); err == nil {
 			t.Errorf("ParseTableauRow(%q): want error", src)
 		}
+	}
+}
+
+func TestParseLineBareAttribute(t *testing.T) {
+	// A bare attribute is the unnamed variable '_', on either side and
+	// for ParseTableauRow as for ParseLine.
+	_, lhs, rhs, row, err := ParseTableauRow("R([a] -> [c = _])")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lhs) != 1 || lhs[0] != "a" || rhs != "c" || !row.LHS[0].IsWildcard() {
+		t.Fatalf("parsed lhs=%v rhs=%q row=%v", lhs, rhs, row)
+	}
+	l, err := ParseLine(`R([a, b = x] -> [c, d = (\D)\D])`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `R([a = _, b = (x)] -> [c = _, d = (\D)\D])`; l.String() != want {
+		t.Fatalf("printed %s, want %s", l, want)
 	}
 }
 
@@ -302,7 +323,7 @@ func TestQuickParseTableauRowRoundTrip(t *testing.T) {
 				t.Logf("row %d %q: %v", i, part, err)
 				return false
 			}
-			if rel != p.Relation || rhs != p.RHS || !equalStrings(lhs, p.LHS) {
+			if rel != p.Relation || rhs != p.RHS || !slices.Equal(lhs, p.LHS) {
 				return false
 			}
 			if !row.RHS.Equal(p.Tableau[i].RHS) {

@@ -148,37 +148,33 @@ func MustNew(relation string, lhs []string, rhs string, tableau ...Row) *PFD {
 	return p
 }
 
-// Embedded returns the embedded FD "X -> B" as a display string.
-func (p *PFD) Embedded() string {
-	return fmt.Sprintf("[%s] -> [%s]", strings.Join(p.LHS, ","), p.RHS)
+// Embedded returns the embedded FD "[X] -> [B]" (EmbeddedFD).
+func (p *PFD) Embedded() string { return EmbeddedFD(p.LHS, p.RHS) }
+
+// EmbeddedFD renders the embedded FD X -> B as "[a,b] -> [c]": the
+// display string and the one key under which discovery output, ground
+// truth, the out-of-core sample screen and rule maintenance match
+// dependencies.
+func EmbeddedFD(lhs []string, rhs string) string {
+	return "[" + strings.Join(lhs, ",") + "] -> [" + rhs + "]"
 }
 
 // String renders the PFD in the paper's λ notation, one tableau row per
-// constraint, e.g. "Zip([zip = (900)\D{2}] -> [city = (Los\ Angeles)])".
-// Relation and attribute names have the grammar's delimiter runes
-// backslash-escaped so ParsePFD inverts the rendering even for names
-// carrying commas, brackets, parens, or '='.
+// constraint, e.g. "Zip([zip = (900)\D{2}] -> [city = (Los\ Angeles)])",
+// through Line's printer: relation and attribute names have the
+// grammar's delimiter runes backslash-escaped so ParsePFD inverts the
+// rendering even for names carrying commas, brackets, parens, or '='.
 func (p *PFD) String() string {
 	var b strings.Builder
 	for i, row := range p.Tableau {
 		if i > 0 {
 			b.WriteString("; ")
 		}
-		writeName(&b, p.Relation)
-		b.WriteString("([")
+		l := Line{Relation: p.Relation, LHS: make([]Term, len(p.LHS)), RHS: []Term{{p.RHS, row.RHS}}}
 		for j, a := range p.LHS {
-			if j > 0 {
-				b.WriteString(", ")
-			}
-			writeName(&b, a)
-			b.WriteString(" = ")
-			row.LHS[j].render(&b)
+			l.LHS[j] = Term{a, row.LHS[j]}
 		}
-		b.WriteString("] -> [")
-		writeName(&b, p.RHS)
-		b.WriteString(" = ")
-		row.RHS.render(&b)
-		b.WriteString("])")
+		l.write(&b)
 	}
 	if len(p.Tableau) == 0 {
 		writeName(&b, p.Relation)
@@ -191,7 +187,7 @@ func (p *PFD) String() string {
 		}
 		b.WriteString("] -> [")
 		writeName(&b, p.RHS)
-		b.WriteString("], Tp=∅)")
+		b.WriteString("]" + emptyMarker)
 	}
 	return b.String()
 }

@@ -50,14 +50,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestProject(t *testing.T) {
-	tb := sampleTable()
-	p := tb.Project("gender")
-	if p.NumCols() != 1 || p.Value(0, "gender") != "M" {
-		t.Error("Project wrong")
-	}
-}
-
 func TestCSVRoundTrip(t *testing.T) {
 	tb := sampleTable()
 	var buf bytes.Buffer

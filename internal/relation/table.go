@@ -287,17 +287,6 @@ func NewFromColumns(name string, cols []string, dicts [][]string, codes [][]uint
 	return t, nil
 }
 
-// Project returns a new table containing only the given columns, in
-// order.
-func (t *Table) Project(cols ...string) *Table {
-	p := New(t.Name, cols...)
-	p.nrows = t.nrows
-	for i, c := range cols {
-		p.cols[i] = t.cols[t.MustCol(c)].clone()
-	}
-	return p
-}
-
 // A Cell addresses one value of the table, for violation reporting.
 type Cell struct {
 	Row int

@@ -38,7 +38,7 @@ type Finding struct {
 // with no majority there is no defensible repair, matching the paper's
 // requirement of a predefined support for the PFD to apply.
 func Detect(t *relation.Table, pfds []*pfd.PFD) []Finding {
-	fs, _ := DetectContext(context.Background(), t, pfds, nil)
+	fs, _ := DetectContextOptions(context.Background(), t, pfds, Options{})
 	return fs
 }
 
@@ -54,17 +54,11 @@ type Options struct {
 	NoPlanner bool
 }
 
-// DetectContext is Detect with cancellation and per-PFD progress: the
-// context is observed between the planner's LHS groups, and onPFD,
-// when non-nil, is invoked once per PFD with the number done and the
-// total. On cancellation it returns nil findings and ctx.Err() —
-// partial detection output is never useful, because the dedup across
-// PFDs has not run to completion.
-func DetectContext(ctx context.Context, t *relation.Table, pfds []*pfd.PFD, onPFD func(done, total int)) ([]Finding, error) {
-	return DetectContextOptions(ctx, t, pfds, Options{Progress: onPFD})
-}
-
-// DetectContextOptions is DetectContext with explicit options.
+// DetectContextOptions is Detect with cancellation and options: the
+// context is observed between the planner's LHS groups. On
+// cancellation it returns nil findings and ctx.Err() — partial
+// detection output is never useful, because the dedup across PFDs has
+// not run to completion.
 //
 // Detection runs through the shared-evaluation planner (internal/plan)
 // at any rule count, compiled for this call and dropped when it

@@ -11,9 +11,8 @@ import (
 // handleMetrics renders Prometheus text exposition format (version
 // 0.0.4), hand-assembled: the repo takes no dependencies, and the text
 // format is simple enough that a client library would be the only
-// import it justified. Gauges come from the same non-blocking
-// tenantStatus snapshot the tenant list uses, so scrapes never stall
-// behind a draining engine.
+// import it justified. Gauges come from the same tenantStatus
+// snapshot the tenant list uses.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var b strings.Builder
 
@@ -51,16 +50,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			func(st tenantStatus) string { return fmt.Sprintf("%d", st.RetroSignals) }},
 		{"pfd_tenant_ruleset_reloads_total", "counter", "Hot ruleset replacements since the tenant was created.",
 			func(st tenantStatus) string { return fmt.Sprintf("%d", st.Reloads) }},
-		{"pfd_tenant_engine_state", "gauge", "Engine generation state: 0 idle, 1 running, 2 draining.",
+		{"pfd_tenant_engine_state", "gauge", "Engine generation state: 0 idle, 1 running.",
 			func(st tenantStatus) string {
-				switch st.State {
-				case "running":
+				if st.State == "running" {
 					return "1"
-				case "draining":
-					return "2"
-				default:
-					return "0"
 				}
+				return "0"
 			}},
 		{"pfd_tenant_tuples_per_sec", "gauge", "Throughput of the running engine generation.",
 			func(st tenantStatus) string { return fmt.Sprintf("%.3f", st.TuplesPerSec) }},

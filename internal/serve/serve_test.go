@@ -147,6 +147,10 @@ func TestTenantLifecycle(t *testing.T) {
 	if ack.Accepted != 9 {
 		t.Fatalf("accepted = %d, want 9", ack.Accepted)
 	}
+	// The acknowledgment carries counters only: an empty findings list.
+	if ack.Rows != 9 || ack.LiveViolations != 1 || ack.Violations == nil || len(ack.Violations) != 0 {
+		t.Fatalf("ack = %+v, want 9 rows, 1 live violation and \"violations\": []", ack)
+	}
 
 	rep := getReport(t, base, "acme", "/report")
 	if rep.Rows != 9 || rep.Name != "acme" {
@@ -336,7 +340,7 @@ func validateBaseline(t *testing.T, rs *pfd.Ruleset, src pfd.Source) []pfd.Repor
 	var mu sync.Mutex
 	var found []pfd.ReportFinding
 	_, err := rs.Validate(context.Background(), src,
-		pfd.WithoutViolationLog(), pfd.WithWorkers(1),
+		pfd.WithoutViolationLog(),
 		pfd.WithViolationHandler(func(v pfd.StreamViolation) {
 			if !v.NewTuple {
 				return

@@ -526,10 +526,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// acknowledgment — including the prefix of a failed body, which is
 	// in the engine and reported to the client via "accepted". The
 	// engine folded every accepted tuple inside its Submit, so the
-	// report's counters are exact for this batch.
+	// counters are exact for this batch.
 	var rep *pfd.Report
 	if s.dur != nil && accepted > 0 {
-		rep = t.report(0)
+		rep = t.counts()
 		jerr := s.appendDurable(durable.BatchIngested(durable.IngestRecord{
 			Tenant:         t.name,
 			Digest:         digest.Sum(),
@@ -559,10 +559,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if rep == nil {
-		rep = t.report(0)
+		rep = t.counts() // counts only; GET /report or /violations lists findings
 	}
 	rep.Accepted = accepted
-	rep.Violations = rep.Violations[:0] // counts only; GET /report or /violations lists findings
 	writeJSON(w, http.StatusOK, rep)
 }
 

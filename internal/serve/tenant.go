@@ -50,19 +50,17 @@ type tenant struct {
 	maint *pfd.Maintainer
 
 	// rowBase is the row total of closed engine generations. Written
-	// under mu (write-locked); read atomically so draining-state
-	// status snapshots never block on the lock.
+	// under mu (write-locked).
 	rowBase atomic.Int64
 
 	liveViolations atomic.Int64
 	retroSignals   atomic.Int64
 	// gen counts ruleset installs, 1-based — the journal's ordering key
 	// for RulesetInstalled records, restored across restarts.
-	gen         atomic.Int64
-	reloads     atomic.Int64
-	lastActive  atomic.Int64 // unixnano of the last ingest or reload
-	genDraining atomic.Bool  // an engine generation is mid-Close
-	stopped     atomic.Bool  // server drain: no new generations, ever
+	gen        atomic.Int64
+	reloads    atomic.Int64
+	lastActive atomic.Int64 // unixnano of the last ingest or reload
+	stopped    atomic.Bool  // server drain: no new generations, ever
 
 	ringMu sync.Mutex
 	ring   []pfd.ReportFinding // circular, len == cfg.Ring
@@ -205,12 +203,10 @@ func (t *tenant) closeEngineLocked() {
 	if t.eng == nil {
 		return
 	}
-	t.genDraining.Store(true)
 	rep := t.eng.Close()
 	t.rowBase.Add(int64(rep.Rows - t.genWarm))
 	t.genWarm = 0
 	t.eng = nil
-	t.genDraining.Store(false)
 }
 
 // startEngineLocked begins a new engine generation over the current
@@ -408,10 +404,21 @@ func (t *tenant) recent(limit int) []pfd.ReportFinding {
 	return out
 }
 
-// report assembles the tenant's pfd.Report. Every tuple is folded,
-// and its violations counted, before its Submit returns, so the report
-// reflects everything acknowledged before the call.
+// report assembles the tenant's pfd.Report with its most recent limit
+// findings (all retained ones when limit is 0).
 func (t *tenant) report(limit int) *pfd.Report {
+	r := t.counts()
+	r.Violations = t.recent(limit)
+	r.Sort()
+	return r
+}
+
+// counts assembles the tenant's pfd.Report without findings: the
+// counters only, with an empty Violations list, leaving the findings
+// ring untouched. Every tuple is folded, and its violations counted,
+// before its Submit returns, so the counters reflect everything
+// acknowledged before the call.
+func (t *tenant) counts() *pfd.Report {
 	r := pfd.NewReport(t.name)
 
 	t.mu.RLock()
@@ -435,17 +442,14 @@ func (t *tenant) report(limit int) *pfd.Report {
 		r.ElapsedMS = float64(elapsed.Microseconds()) / 1e3
 		r.TuplesPerSec = float64(engineRows) / elapsed.Seconds()
 	}
-	r.Violations = t.recent(limit)
-	r.Sort()
 	return r
 }
 
 // tenantStatus is the monitoring snapshot used by the tenant list and
-// /metrics. It never blocks on a draining generation: the draining
-// branch reads only atomics.
+// /metrics.
 type tenantStatus struct {
 	Name           string  `json:"name"`
-	State          string  `json:"state"` // idle | running | draining
+	State          string  `json:"state"` // idle | running
 	Rules          int     `json:"rules"`
 	Rows           int64   `json:"rows"`
 	LiveViolations int64   `json:"live_violations"`
@@ -463,13 +467,6 @@ func (t *tenant) status() tenantStatus {
 		Reloads:        t.reloads.Load(),
 		IdleSec:        time.Since(time.Unix(0, t.lastActive.Load())).Seconds(),
 	}
-	if t.genDraining.Load() {
-		// Mid-drain the generation lock is held; report from atomics
-		// only so scrapes never stall behind a long Close.
-		st.State = "draining"
-		st.Rows = t.rowBase.Load()
-		return st
-	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if t.rules != nil {
@@ -480,7 +477,7 @@ func (t *tenant) status() tenantStatus {
 		st.State = "idle"
 		return st
 	}
-	st.State = t.eng.State().String()
+	st.State = "running"
 	st.Rows += int64(t.eng.Rows() - t.genWarm)
 	if el := time.Since(t.engStart); el > 0 {
 		st.TuplesPerSec = float64(t.eng.Rows()-t.genWarm) / el.Seconds()

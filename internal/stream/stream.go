@@ -34,7 +34,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"pfd/internal/pfd"
 	"pfd/internal/relation"
@@ -42,30 +41,6 @@ import (
 
 // ErrClosed is returned by Submit after Close.
 var ErrClosed = errors.New("stream: engine is closed")
-
-// EngineState describes where an Engine is in its lifecycle, so a
-// hosting service can answer health checks truthfully.
-type EngineState int32
-
-const (
-	// EngineRunning: accepting Submits.
-	EngineRunning EngineState = iota
-	// EngineClosed: Close has run; Submits fail with ErrClosed and the
-	// final report is available.
-	EngineClosed
-)
-
-// String renders the state for logs and metrics ("running",
-// "closed").
-func (s EngineState) String() string {
-	switch s {
-	case EngineRunning:
-		return "running"
-	case EngineClosed:
-		return "closed"
-	}
-	return "unknown"
-}
 
 // Options configure the engine. The zero value is usable.
 type Options struct {
@@ -143,10 +118,9 @@ type Engine struct {
 	// st is the group space; the consensus automaton itself
 	// (pfd.GroupState) is shared with the sequential Checker, so both
 	// raise identical signals by construction.
-	st  map[groupKey]*pfd.GroupState
-	log []pfd.StreamViolation
-	// closed is written under mu and read without it by State.
-	closed atomic.Bool
+	st     map[groupKey]*pfd.GroupState
+	log    []pfd.StreamViolation
+	closed bool // under mu
 
 	scratchPool sync.Pool // *matchScratch for Submit's match phase
 }
@@ -222,7 +196,7 @@ func (e *Engine) newScratch() *matchScratch {
 func (e *Engine) foldRow(ups []update) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed.Load() {
+	if e.closed {
 		return ErrClosed
 	}
 	row := e.rows
@@ -335,18 +309,9 @@ func (e *Engine) Snapshot() Report {
 // final report.
 func (e *Engine) Close() Report {
 	e.mu.Lock()
-	e.closed.Store(true)
+	e.closed = true
 	e.mu.Unlock()
 	return e.Snapshot()
-}
-
-// State reports the engine's lifecycle state. It takes no lock, so a
-// service can poll it from a health endpoint at any time.
-func (e *Engine) State() EngineState {
-	if e.closed.Load() {
-		return EngineClosed
-	}
-	return EngineRunning
 }
 
 // Backlog reports the work queued but not yet applied. Nothing is

@@ -58,8 +58,9 @@ func WithChunkRows(n int) OOCOption {
 }
 
 // WithSampleRows sets the target size of the deterministic systematic
-// sample that WithSampleVerify mines for its candidate screen. 0 means
-// the default (64Ki rows); negative disables sampling.
+// sample that WithSampleVerify mines for its candidate screen; without
+// WithSampleVerify no sample is collected. 0 means the default (64Ki
+// rows); negative disables sampling.
 func WithSampleRows(n int) OOCOption {
 	return func(c *oocConfig) { c.opt.SampleRows = n }
 }

@@ -107,7 +107,6 @@ type StreamOption func(*streamConfig)
 
 type streamConfig struct {
 	engine   stream.Options
-	workers  int
 	warm     Source
 	progress func(rowsSubmitted int)
 }
@@ -144,15 +143,6 @@ func WithoutViolationLog() StreamOption {
 // handler; the warm row count is reported by Validation.WarmRows.
 func WithWarmup(ref Source) StreamOption {
 	return func(c *streamConfig) { c.warm = ref }
-}
-
-// WithWorkers sets the number of producer goroutines Validate uses to
-// submit live tuples. The default is 1, which keeps row ids aligned
-// with source order and reports deterministic; raise it to scale the
-// producer-side pattern matching on heavy streams, accepting
-// submission-order (row id) nondeterminism.
-func WithWorkers(n int) StreamOption {
-	return func(c *streamConfig) { c.workers = n }
 }
 
 // WithValidateProgress registers a callback invoked periodically (every

@@ -181,17 +181,6 @@ type StreamEngine = stream.Engine
 // StreamReport is a consistent snapshot of a StreamEngine.
 type StreamReport = stream.Report
 
-// EngineState describes where a StreamEngine is in its lifecycle —
-// running or closed — via StreamEngine.State, which takes no lock, so
-// a hosting service can answer health checks at any time.
-type EngineState = stream.EngineState
-
-// The StreamEngine lifecycle states; see EngineState.
-const (
-	EngineRunning = stream.EngineRunning
-	EngineClosed  = stream.EngineClosed
-)
-
 // ErrEngineClosed is returned by StreamEngine.Submit once Close has
 // run: the engine accepts no more tuples.
 var ErrEngineClosed = stream.ErrClosed

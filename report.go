@@ -63,9 +63,6 @@ type Report struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 	// TuplesPerSec is LiveRows over the live-phase wall time.
 	TuplesPerSec float64 `json:"tuples_per_sec"`
-	// Workers is the number of producer goroutines of the run.
-	Workers int `json:"workers"`
-
 	// Violations are the retained live findings. The CLI retains all
 	// of them; a long-lived service retains the most recent
 	// min(buffer, LiveViolations) — LiveViolations is always exact.

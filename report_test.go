@@ -15,7 +15,6 @@ func TestReportEnvelopeRoundTrip(t *testing.T) {
 	r := NewReport("zips")
 	r.Rows, r.WarmRows, r.LiveRows = 12, 4, 8
 	r.LiveViolations, r.RetroSignals = 2, 3
-	r.Workers = 2
 	r.SetTiming(250 * time.Millisecond)
 	r.Violations = append(r.Violations,
 		ReportFinding{Row: 7, Column: "city", Expected: "Chicago", PFD: "[zip] -> [city]"},

@@ -270,10 +270,9 @@ func parseRulesetText(data []byte, path string) (*Ruleset, error) {
 		default:
 			p, err := pfd.ParsePFD(text)
 			if err != nil {
-				// Legacy grammar fallback: pfdinfer's historical line
-				// format also allowed multi-attribute RHS and bare
-				// (pattern-less) attributes; accept those by parsing
-				// as an inference rule and decomposing to normal form
+				// A multi-attribute RHS (pfdinfer's historical line
+				// format) is not normal form: read the line with the
+				// same grammar as an inference rule and decompose it
 				// (restriction iv of §4.2).
 				if r, rerr := inference.ParseRule(text); rerr == nil {
 					if ps, perr := inference.ToPFDs([]*inference.Rule{r}); perr == nil {

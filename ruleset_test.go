@@ -402,3 +402,57 @@ func TestRulesToRulesetInvertsRules(t *testing.T) {
 			rulesetStrings(back), rulesetStrings(rs))
 	}
 }
+
+// TestParseRuleReadsRulesetLines pins that rule files and inference
+// rules share one λ-notation grammar: for names holding a space, ',',
+// '=' or brackets, ParseRule reads a ruleset's own printed line to the
+// attributes ParsePFD reads, the ruleset implies that rule, and a
+// rule's printed text parses back to the rule.
+func TestParseRuleReadsRulesetLines(t *testing.T) {
+	for _, name := range []string{"first name", "last,first", "a=b", "[x]", "(y)"} {
+		p, err := pfd.NewPFD("People", []string{name}, "gender", pfd.TableauRow{
+			LHS: []pfd.TableauCell{pfd.Pat(pfd.MustParsePattern(`(John\ )\A*`))},
+			RHS: pfd.Pat(pfd.ConstantPattern("M")),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		line := p.String()
+		q, err := pfd.ParsePFD(line)
+		if err != nil {
+			t.Fatalf("ParsePFD(%q): %v", line, err)
+		}
+		r, err := pfd.ParseRule(line)
+		if err != nil {
+			t.Fatalf("ParseRule(%q): %v", line, err)
+		}
+		if _, ok := r.LHS[q.LHS[0]]; !ok || len(r.LHS) != 1 || len(r.RHS) != 1 {
+			t.Fatalf("ParseRule(%q) = %s; ParsePFD reads LHS %q", line, r, q.LHS)
+		}
+		if _, ok := r.RHS[q.RHS]; !ok {
+			t.Fatalf("ParseRule(%q) = %s; ParsePFD reads RHS %q", line, r, q.RHS)
+		}
+		if !pfd.NewRuleset("people", q).Implies(r) {
+			t.Fatalf("ruleset %q does not imply its own line", line)
+		}
+		back, err := pfd.ParseRule(r.String())
+		if err != nil {
+			t.Fatalf("ParseRule(%q): %v", r.String(), err)
+		}
+		if !sameCells(back.LHS, r.LHS) || !sameCells(back.RHS, r.RHS) || back.Relation != r.Relation {
+			t.Fatalf("ParseRule(r.String()) drifted:\n r    %s\n back %s", r, back)
+		}
+	}
+}
+
+func sameCells(a, b map[string]pfd.TableauCell) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k, c := range a {
+		if d, ok := b[k]; !ok || !c.Equal(d) {
+			return false
+		}
+	}
+	return true
+}
