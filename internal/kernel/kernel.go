@@ -2,7 +2,9 @@
 // scan paths run on: 64-row chunks of dictionary code vectors are
 // expanded into []uint64 row bitmaps (one bit per row), combined with
 // word-wide boolean algebra, counted with popcounts, and gathered back
-// into grouped row ids with a counting sort over interned span ids.
+// into grouped row ids with a counting sort over interned span ids —
+// over the whole code vector, or, for a cell that accepts few codes,
+// over just those codes' rows in a column's code→rows Postings.
 //
 // The layout contract is shared with internal/relation's columnar
 // core: a column is a dictionary plus a per-row code vector, and any
@@ -17,7 +19,10 @@
 // themselves are serial.
 package kernel
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // WordBits is the chunk width: rows per bitmap word.
 const WordBits = 64
@@ -183,6 +188,8 @@ type Groups struct {
 	ids []int32
 	// cursor is the per-group write cursor during scatter.
 	cursor []int32
+	// marks is sortRows' bitmap scratch.
+	marks []uint64
 }
 
 // Len returns the number of non-empty groups gathered.
@@ -275,21 +282,108 @@ func GatherGroupsCodes(g *Groups, codes []uint32, ids []int32, weights []int) {
 	}
 }
 
-// MatchedWeight sums the live multiplicities of every dictionary entry
-// whose span id is >= 0: ids is a per-code match/span-id vector (as
-// built by a tableau-cell evaluation), weights the column's live
-// per-code counts (relation.Table.DictCounts). The result is the
-// number of table rows the cell matches, computed in O(distinct)
-// without touching the code vector — the dictionary-derived
-// selectivity the multi-rule planner orders and short-circuits on. A
-// zero return proves no live row matches (every live code has weight
-// > 0), which is what makes skipping such a scan sound.
-func MatchedWeight(ids []int32, weights []int) int {
-	w := 0
-	for code, sid := range ids {
-		if sid >= 0 {
-			w += weights[code]
+// Hit is one entry of a sparse per-code span-id list: dictionary code
+// Code carries span id Sid (>= 0). A sparse list names only the codes
+// a cell accepts, ascending by code, so a cell that accepts k values
+// costs k entries instead of one per dictionary code.
+type Hit struct {
+	Code uint32
+	Sid  int32
+}
+
+// Postings is one column's code→rows index: Rows(code) lists the rows
+// holding code, ascending. It is a counting sort of the code vector.
+type Postings struct {
+	// start[code] is code's offset into rows; start[len(dict)] ends it.
+	start []int32
+	rows  []int32
+}
+
+// BuildPostings indexes a code vector by code. counts must be the
+// column's live per-code multiplicities (relation.Table.DictCounts),
+// which are the histogram of codes, so the build is one prefix sum over
+// the dictionary and one backward scatter over the rows.
+func BuildPostings(codes []uint32, counts []int) *Postings {
+	p := &Postings{start: make([]int32, len(counts)+1), rows: make([]int32, len(codes))}
+	// start[code] first holds the end of code's run; the backward
+	// scatter walks each cursor down to the run's start, filling the run
+	// with ascending rows.
+	var end int32
+	for code, c := range counts {
+		end += int32(c)
+		p.start[code] = end
+	}
+	p.start[len(counts)] = end
+	for r := len(codes) - 1; r >= 0; r-- {
+		code := codes[r]
+		p.start[code]--
+		p.rows[p.start[code]] = int32(r)
+	}
+	return p
+}
+
+// Rows returns the rows holding code, ascending. The slice aliases the
+// postings.
+func (p *Postings) Rows(code uint32) []int32 { return p.rows[p.start[code]:p.start[code+1]] }
+
+// GatherGroupsPostings is GatherGroupsCodes for a sparse span-id list:
+// it groups the rows of every code in hits by the hit's span id, reading
+// only those codes' postings. numSids bounds the span ids. The histogram
+// is the k postings' lengths, sized by the span count rather than the
+// dictionary, and the scatter copies whole postings, so the cost is the
+// matched rows plus k and numSids, not the table or the dictionary.
+// The output equals GatherGroupsCodes over the dense vector the hits
+// expand to: groups in ascending span-id order, rows ascending within
+// each group (a group filled from several codes is sorted).
+func GatherGroupsPostings(g *Groups, post *Postings, hits []Hit, numSids int) {
+	g.reset(numSids)
+	for _, h := range hits {
+		g.counts[h.Sid] += int32(len(post.Rows(h.Code)))
+	}
+	slotOf, _ := g.layout()
+	for _, h := range hits {
+		slot := slotOf[h.Sid]
+		if slot < 0 {
+			continue
+		}
+		g.cursor[slot] += int32(copy(g.ids[g.cursor[slot]:], post.Rows(h.Code)))
+	}
+	for i := range g.sids {
+		if rows := g.Rows(i); !slices.IsSorted(rows) {
+			g.sortRows(rows)
 		}
 	}
-	return w
+}
+
+// sortRows sorts a group's distinct row ids. When the rows fill at
+// least one bit per word of their range's bitmap, they are marked in
+// that bitmap and read back in order, linear in the rows and the
+// range; sparser groups take a comparison sort.
+func (g *Groups) sortRows(rows []int32) {
+	lo, hi := rows[0], rows[0]
+	for _, r := range rows {
+		lo, hi = min(lo, r), max(hi, r)
+	}
+	lo &^= WordBits - 1
+	n := Words(int(hi-lo) + 1)
+	if n > len(rows) {
+		slices.Sort(rows)
+		return
+	}
+	if cap(g.marks) < n {
+		g.marks = make([]uint64, n)
+	}
+	marks := g.marks[:n]
+	clear(marks)
+	for _, r := range rows {
+		marks[(r-lo)>>6] |= 1 << (uint32(r-lo) & 63)
+	}
+	i := 0
+	for wi, w := range marks {
+		for w != 0 {
+			rows[i] = lo + int32(wi*WordBits+bits.TrailingZeros64(w))
+			i++
+			w &= w - 1
+		}
+	}
 }

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -346,16 +347,68 @@ func TestGatherGroupsZeroRows(t *testing.T) {
 	}
 }
 
-func TestMatchedWeight(t *testing.T) {
-	ids := []int32{0, -1, 1, -1, 0}
-	weights := []int{3, 7, 2, 1, 5}
-	if got := MatchedWeight(ids, weights); got != 10 {
-		t.Fatalf("MatchedWeight = %d, want 10", got)
-	}
-	if got := MatchedWeight([]int32{-1, -1}, []int{4, 4}); got != 0 {
-		t.Fatalf("MatchedWeight all-miss = %d, want 0", got)
-	}
-	if got := MatchedWeight(nil, nil); got != 0 {
-		t.Fatalf("MatchedWeight nil = %d, want 0", got)
+// TestGatherGroupsPostings pins the posting gather to the dense
+// counting-sort gather over random code vectors: the hits expand to a
+// dense span-id vector, and both gathers must give the same groups,
+// span ids and ascending rows. Span ids are drawn so that one span
+// often covers several codes whose rows interleave, and retired codes
+// (no rows) are among the hits.
+func TestGatherGroupsPostings(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var dense, sparse Groups // reused across trials to exercise scratch reuse
+	for trial := 0; trial < 200; trial++ {
+		n := rng.Intn(3000)
+		distinct := rng.Intn(12) + 1
+		codes := randomCodes(rng, n, distinct)
+		if trial%2 == 1 {
+			// Skewed: code 0 holds most rows, so a span over rare codes
+			// is sparser than one row per 64 and takes the comparison
+			// sort, and one with code 0 takes the bitmap.
+			for i := range codes {
+				if rng.Intn(50) > 0 {
+					codes[i] = 0
+				}
+			}
+		}
+		counts := make([]int, distinct)
+		for _, c := range codes {
+			counts[c]++
+		}
+		post := BuildPostings(codes, counts)
+		for code := range counts {
+			want := []int32{}
+			for r, c := range codes {
+				if c == uint32(code) {
+					want = append(want, int32(r))
+				}
+			}
+			if got := post.Rows(uint32(code)); !slices.Equal(got, want) && len(got)+len(want) > 0 {
+				t.Fatalf("trial %d: Rows(%d) = %v, want %v", trial, code, got, want)
+			}
+		}
+
+		// GatherGroupsCodes sizes its histogram by the dictionary, as
+		// interning guarantees: no more spans than codes.
+		numSids := 1 + rng.Intn(min(4, distinct))
+		ids := make([]int32, distinct)
+		var hits []Hit
+		for code := range ids {
+			ids[code] = -1
+			if rng.Intn(3) > 0 {
+				ids[code] = int32(rng.Intn(numSids))
+				hits = append(hits, Hit{Code: uint32(code), Sid: ids[code]})
+			}
+		}
+		GatherGroupsCodes(&dense, codes, ids, counts)
+		GatherGroupsPostings(&sparse, post, hits, numSids)
+		if sparse.Len() != dense.Len() {
+			t.Fatalf("trial %d: %d groups, want %d", trial, sparse.Len(), dense.Len())
+		}
+		for i := 0; i < dense.Len(); i++ {
+			if sparse.Sid(i) != dense.Sid(i) || !slices.Equal(sparse.Rows(i), dense.Rows(i)) {
+				t.Fatalf("trial %d group %d: sid %d rows %v, want sid %d rows %v",
+					trial, i, sparse.Sid(i), sparse.Rows(i), dense.Sid(i), dense.Rows(i))
+			}
+		}
 	}
 }

@@ -23,11 +23,19 @@ type AnchorIndex struct {
 }
 
 // anchorGroup maps each literal of one shape to the ids filed under
-// it, in Add order.
+// it, in Add order. first has bit b set when some literal starts with
+// byte b, so most values that carry none of the literals are turned
+// away before the map hashes them.
 type anchorGroup struct {
 	skip, n int
 	exact   bool
+	first   [4]uint64
 	ids     map[string][]int32
+}
+
+// mayHold reports whether key's first byte starts some literal of g.
+func (g *anchorGroup) mayHold(key string) bool {
+	return len(key) == 0 || g.first[key[0]>>6]&(1<<(key[0]&63)) != 0
 }
 
 // Add files id under m's anchor and reports whether m states one; a
@@ -41,14 +49,23 @@ func (x *AnchorIndex) Add(m *Matcher, id int32) bool {
 	i := 0
 	for ; i < len(x.groups) && x.groups[i].skip <= skip; i++ {
 		if g := &x.groups[i]; g.skip == skip && g.n == len(lit) && g.exact == exact {
-			g.ids[lit] = append(g.ids[lit], id)
+			g.add(lit, id)
 			return true
 		}
 	}
 	x.groups = slices.Insert(x.groups, i, anchorGroup{
-		skip: skip, n: len(lit), exact: exact, ids: map[string][]int32{lit: {id}},
+		skip: skip, n: len(lit), exact: exact, ids: map[string][]int32{},
 	})
+	x.groups[i].add(lit, id)
 	return true
+}
+
+// add files id under lit.
+func (g *anchorGroup) add(lit string, id int32) {
+	g.ids[lit] = append(g.ids[lit], id)
+	if lit != "" {
+		g.first[lit[0]>>6] |= 1 << (lit[0] & 63)
+	}
 }
 
 // Lookup appends to dst the ids whose anchor v carries, one run per
@@ -57,28 +74,30 @@ func (x *AnchorIndex) Add(m *Matcher, id int32) bool {
 // ascending.
 func (x *AnchorIndex) Lookup(v string, dst []int32) ([]int32, int) {
 	runs := 0
-	lastSkip := -1
-	var rest string
-	restOK := false
+	// rest is v past its first skipped runes; groups ascend by skip, so
+	// each group skips on from the last.
+	rest, skipped, restOK := v, 0, true
 	for i := range x.groups {
 		g := &x.groups[i]
-		var ids []int32
+		key := v
 		if g.exact {
 			if len(v) != g.n {
 				continue
 			}
-			ids = g.ids[v]
 		} else {
-			if g.skip != lastSkip {
-				lastSkip = g.skip
-				rest, restOK = skipRunes(v, g.skip)
+			if g.skip != skipped && restOK {
+				rest, restOK = skipRunes(rest, g.skip-skipped)
+				skipped = g.skip
 			}
 			if !restOK || len(rest) < g.n {
 				continue
 			}
-			ids = g.ids[rest[:g.n]]
+			key = rest[:g.n]
 		}
-		if len(ids) > 0 {
+		if !g.mayHold(key) {
+			continue
+		}
+		if ids := g.ids[key]; len(ids) > 0 {
 			runs++
 			dst = append(dst, ids...)
 		}

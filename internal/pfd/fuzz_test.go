@@ -1,12 +1,14 @@
 package pfd
 
 import (
+	"cmp"
 	"math/rand"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
+	"pfd/internal/kernel"
 	"pfd/internal/pattern"
 )
 
@@ -93,8 +95,12 @@ func linesEqual(a, b Line) bool {
 }
 
 // FuzzEvalColumnSpans pins the one-pass column bind, which the planner
-// and every rule's tableau bind run, to its per-cell oracle: over a random dictionary, EvalColumnSpans must equal
-// EvalCellSpans cell by cell, Sids order included. The cell sets mix
+// and every rule's tableau bind run, to its per-cell oracle: over a
+// random dictionary, EvalColumnSpans must equal EvalCellSpans cell by
+// cell, Sids order included, once a sparse evaluation is expanded to
+// the dense vector. A cell that anchors a literal must come back
+// sparse, its hits ascending by code, and every other cell dense. The
+// cell sets mix
 // constants (the empty constant too), anchored prefixes behind
 // multi-byte rune skips, cells sharing one literal, wildcards and
 // unanchored shapes; the dictionaries hold invalid UTF-8, the fuzzed
@@ -121,11 +127,37 @@ func FuzzEvalColumnSpans(f *testing.F) {
 			t.Fatalf("%d evaluations for %d cells", len(got), len(cells))
 		}
 		for i, c := range cells {
-			if want := EvalCellSpans(c, dict); !reflect.DeepEqual(got[i], want) {
+			anchored := false
+			if !c.IsWildcard() {
+				_, _, _, anchored = c.Pattern.Compiled().Anchor()
+			}
+			if got[i].Sparse() != anchored {
+				t.Fatalf("cell %d %s: sparse %v, want %v", i, c, got[i].Sparse(), anchored)
+			}
+			if !slices.IsSortedFunc(got[i].Hits, func(a, b kernel.Hit) int { return cmp.Compare(a.Code, b.Code) }) {
+				t.Fatalf("cell %d %s: hits out of code order: %v", i, c, got[i].Hits)
+			}
+			if want, dense := EvalCellSpans(c, dict), expandSpanEval(got[i], len(dict)); !reflect.DeepEqual(dense, want) {
 				t.Fatalf("cell %d %s over %q:\n got %+v\nwant %+v", i, c, dict, got[i], want)
 			}
 		}
 	})
+}
+
+// expandSpanEval returns ev in the dense form over an n-code
+// dictionary: a sparse evaluation's hits written into a vector of -1.
+func expandSpanEval(ev *SpanEval, n int) *SpanEval {
+	if !ev.Sparse() {
+		return ev
+	}
+	sid := make([]int32, n)
+	for code := range sid {
+		sid[code] = -1
+	}
+	for _, h := range ev.Hits {
+		sid[h.Code] = h.Sid
+	}
+	return &SpanEval{Sid: sid, Sids: ev.Sids}
 }
 
 // Value and literal pools for FuzzEvalColumnSpans: small, so that cells

@@ -64,7 +64,44 @@ func ParseLine(src string) (Line, error) {
 	if l.RHS, err = parseSide(rhsPart); err != nil {
 		return Line{}, fmt.Errorf("pfd: rule %q RHS: %w", src, err)
 	}
+	if a, ok := repeatedAttr(l.LHS, func(t Term) string { return t.Attr }); ok {
+		return Line{}, &DuplicateAttrError{Rule: src, Side: "LHS", Attr: a}
+	}
+	if a, ok := repeatedAttr(l.RHS, func(t Term) string { return t.Attr }); ok {
+		return Line{}, &DuplicateAttrError{Rule: src, Side: "RHS", Attr: a}
+	}
 	return l, nil
+}
+
+// A DuplicateAttrError reports a rule side that names one attribute
+// more than once. A side is a set of attributes, so a second cell for
+// the same attribute has no meaning: ParseLine and New reject it rather
+// than keep or drop one of the cells.
+type DuplicateAttrError struct {
+	Rule string // the rule text; "" for a PFD built by New
+	Side string // "LHS" or "RHS"
+	Attr string
+}
+
+func (e *DuplicateAttrError) Error() string {
+	msg := fmt.Sprintf("%s names attribute %q twice", e.Side, e.Attr)
+	if e.Rule != "" {
+		return fmt.Sprintf("pfd: rule %q %s", e.Rule, msg)
+	}
+	return "pfd: " + msg
+}
+
+// repeatedAttr returns the first attribute that name gives twice
+// among items.
+func repeatedAttr[T any](items []T, name func(T) string) (string, bool) {
+	for i := range items {
+		for j := range i {
+			if name(items[j]) == name(items[i]) {
+				return name(items[i]), true
+			}
+		}
+	}
+	return "", false
 }
 
 // String prints the line in the grammar ParseLine reads, names escaped

@@ -121,7 +121,9 @@ type PFD struct {
 	Tableau  []Row
 }
 
-// New constructs a PFD after validating tableau arity.
+// New constructs a PFD after validating its attributes (a non-empty
+// LHS naming each attribute once, none of them the RHS) and the
+// tableau arity.
 func New(relation string, lhs []string, rhs string, tableau ...Row) (*PFD, error) {
 	if len(lhs) == 0 {
 		return nil, fmt.Errorf("pfd: empty LHS")
@@ -130,6 +132,9 @@ func New(relation string, lhs []string, rhs string, tableau ...Row) (*PFD, error
 		if a == rhs {
 			return nil, fmt.Errorf("pfd: trivial dependency, %q appears on both sides", a)
 		}
+	}
+	if a, ok := repeatedAttr(lhs, func(a string) string { return a }); ok {
+		return nil, &DuplicateAttrError{Side: "LHS", Attr: a}
 	}
 	for i, row := range tableau {
 		if len(row.LHS) != len(lhs) {

@@ -32,14 +32,21 @@ type Violation struct {
 }
 
 // SpanEval is one tableau cell evaluated over one column's dictionary:
-// per dictionary code, an interned constrained-span id (-1 when the
-// cell rejects the value), and per span id the span itself. Spans are
-// interned so that grouping and consensus scanning below run on small
-// integers instead of hashing span strings per row; code's span is
-// Sids[Sid[code]]. Computing the whole structure once per (cell,
-// column) turns every per-row pattern invocation into a code lookup —
-// the dictionary-encoded layout's central win, since real columns have
-// far fewer distinct values than rows.
+// which codes the cell accepts, each with an interned constrained-span
+// id, and per span id the span itself. Spans are interned so that
+// grouping and consensus scanning below run on small integers instead
+// of hashing span strings per row. Computing the whole structure once
+// per (cell, column) turns every per-row pattern invocation into a code
+// lookup — the dictionary-encoded layout's central win, since real
+// columns have far fewer distinct values than rows.
+//
+// The accepted codes come in one of two forms, chosen by the cell's
+// kind. A cell that anchors a literal (a constant or an anchored
+// prefix) accepts few codes, and is sparse: Hits lists the accepted
+// codes ascending with their span ids, and Sid is nil. Every other
+// cell (wildcards, class runs, general shapes) is dense: Sid maps every
+// code to its span id, -1 when the cell rejects it, and Hits is nil.
+// SidOf reads either form.
 //
 // It is exported as the evaluation currency of the multi-rule planner
 // (internal/plan): the planner dedupes identical tableau cells across
@@ -49,8 +56,37 @@ type Violation struct {
 // first-code order, which makes two evaluations of the same cell over
 // the same dictionary identical — the property the sharing relies on.
 type SpanEval struct {
-	Sid  []int32  // code -> interned span id, -1 when the cell rejects it
-	Sids []string // span id -> span, in first-code order
+	Sid  []int32      // dense: code -> interned span id, -1 when rejected; nil when sparse
+	Hits []kernel.Hit // sparse: accepted codes ascending, with span ids
+	Sids []string     // span id -> span, in first-code order
+}
+
+// Sparse reports whether ev lists its accepted codes in Hits.
+func (ev *SpanEval) Sparse() bool { return ev.Sid == nil }
+
+// SidOf returns code's span id, -1 when the cell rejects the code.
+func (ev *SpanEval) SidOf(code uint32) int32 {
+	if ev.Sid != nil {
+		return ev.Sid[code]
+	}
+	return ev.hitSid(code)
+}
+
+// hitSid binary-searches the sparse list for code.
+func (ev *SpanEval) hitSid(code uint32) int32 {
+	hits := ev.Hits
+	for len(hits) > 1 {
+		half := len(hits) / 2
+		if hits[half].Code <= code {
+			hits = hits[half:]
+		} else {
+			hits = hits[:half]
+		}
+	}
+	if len(hits) == 1 && hits[0].Code == code {
+		return hits[0].Sid
+	}
+	return -1
 }
 
 // EvalColumnSpans evaluates every cell of cells over one column
@@ -59,24 +95,26 @@ type SpanEval struct {
 // held by any row) — so the result depends only on the dictionary
 // contents. Cells that anchor a literal (constants, anchored prefixes)
 // are filed in a pattern.AnchorIndex, so a value is confirmed only
-// against the cells whose literal it carries and every other anchored
-// cell keeps Sid -1; the rest (wildcards, class runs, general shapes)
-// are evaluated on every value, with no index lookup at all when no
-// cell anchors. Codes are visited in ascending order, so each cell's
-// Sids come out in first-code order.
+// against the cells whose literal it carries, and each such cell comes
+// back sparse, listing only the codes it accepts; the rest (wildcards,
+// class runs, general shapes) are evaluated on every value into a dense
+// vector, with no index lookup at all when no cell anchors. Codes are
+// visited in ascending order, so each cell's Sids come out in
+// first-code order and its Hits ascend.
 func EvalColumnSpans(cells []Cell, dict []string) []*SpanEval {
 	evs := make([]*SpanEval, len(cells))
 	var ix pattern.AnchorIndex
 	var scan []int32
 	for i, c := range cells {
-		sid := make([]int32, len(dict))
-		evs[i] = &SpanEval{Sid: sid}
+		evs[i] = &SpanEval{}
 		if c.IsWildcard() || !ix.Add(c.Pattern.Compiled(), int32(i)) {
+			evs[i].Sid = make([]int32, len(dict))
 			scan = append(scan, int32(i))
-			continue
 		}
-		for code := range sid {
-			sid[code] = -1
+		if c.IsWildcard() {
+			// A wildcard's span is the value itself, so a dictionary of
+			// distinct values gives one span per entry.
+			evs[i].Sids = make([]string, 0, len(dict))
 		}
 	}
 	interns := make([]map[string]int32, len(cells))
@@ -92,47 +130,76 @@ func EvalColumnSpans(cells []Cell, dict []string) []*SpanEval {
 			ev := evs[ci]
 			span, ok := cells[ci].Span(v)
 			if !ok {
-				ev.Sid[code] = -1
+				if ev.Sid != nil {
+					ev.Sid[code] = -1
+				}
 				continue
 			}
-			// Anchored cells have one span, so the intern map is built
-			// only once a second distinct span shows up.
-			n := len(ev.Sids)
-			if n > 0 && ev.Sids[n-1] == span {
-				ev.Sid[code] = int32(n - 1)
-				continue
+			sid := ev.intern(&interns[ci], span)
+			if ev.Sid != nil {
+				ev.Sid[code] = sid
+			} else {
+				ev.Hits = append(ev.Hits, kernel.Hit{Code: uint32(code), Sid: sid})
 			}
-			if n > 0 {
-				m := interns[ci]
-				if m == nil {
-					m = make(map[string]int32, 16)
-					for sid, s := range ev.Sids {
-						m[s] = int32(sid)
-					}
-					interns[ci] = m
-				}
-				if sid, seen := m[span]; seen {
-					ev.Sid[code] = sid
-					continue
-				}
-				m[span] = int32(n)
-			}
-			ev.Sid[code] = int32(n)
-			ev.Sids = append(ev.Sids, span)
 		}
 	}
 	return evs
 }
 
+// intern returns span's id in ev.Sids, appending it on first sight.
+// Anchored cells have one span, so the map *m is built only once a
+// second distinct span shows up, sized for the spans ev.Sids has room
+// for.
+func (ev *SpanEval) intern(m *map[string]int32, span string) int32 {
+	n := len(ev.Sids)
+	if n > 0 && ev.Sids[n-1] == span {
+		return int32(n - 1)
+	}
+	if n > 0 {
+		if *m == nil {
+			*m = make(map[string]int32, max(16, cap(ev.Sids)))
+			for sid, s := range ev.Sids {
+				(*m)[s] = int32(sid)
+			}
+		}
+		if sid, seen := (*m)[span]; seen {
+			return sid
+		}
+		(*m)[span] = int32(n)
+	}
+	ev.Sids = append(ev.Sids, span)
+	return int32(n)
+}
+
+// Column is one table column as a bound evaluation is read against it:
+// the code vector, the live per-code counts, and, when a sparse
+// evaluation is gathered over the column, its code→rows postings (nil
+// otherwise).
+type Column struct {
+	Codes  []uint32
+	Counts []int
+	Post   *kernel.Postings
+}
+
+// NewColumn resolves column ci of t, without postings.
+func NewColumn(t *relation.Table, ci int) Column {
+	return Column{Codes: t.Codes(ci), Counts: t.DictCounts(ci)}
+}
+
+// IndexRows builds c's postings unless it has them.
+func (c *Column) IndexRows() {
+	if c.Post == nil {
+		c.Post = kernel.BuildPostings(c.Codes, c.Counts)
+	}
+}
+
 // tableauBind is one PFD's tableau evaluated over one table, for one
 // call: the evaluations of every tableau row's LHS cells and, when
-// bound with the RHS, of its RHS cell, with the code vectors they
-// index.
+// bound with the RHS, of its RHS cell, with the columns they read.
 type tableauBind struct {
 	lhs      [][]*SpanEval // [LHS position][tableau row]
 	rhs      []*SpanEval   // [tableau row]; nil unless bound withRHS
-	codes    [][]uint32    // [LHS position]
-	counts   []int         // live multiplicities of a single-attribute LHS column
+	cols     []*Column     // [LHS position]
 	rhsCodes []uint32
 	nrows    int
 	row      []*SpanEval // scratch for lhsRow
@@ -141,22 +208,28 @@ type tableauBind struct {
 // bind evaluates p's tableau over t — the LHS cells, and the RHS cells
 // when withRHS is set — one attribute at a time: the attribute's
 // distinct tableau cells go to one EvalColumnSpans call, so its
-// dictionary is passed once, not once per tableau row. It is the one
-// cell evaluation behind Violations, Count and LHSMatchBitmap.
+// dictionary is passed once, not once per tableau row. An LHS column
+// with a sparse evaluation gets its postings, which the gathers of
+// those evaluations read. It is the one cell evaluation behind
+// Violations, Count and LHSMatchBitmap.
 func (p *PFD) bind(t *relation.Table, withRHS bool) *tableauBind {
 	b := &tableauBind{
 		lhs:   make([][]*SpanEval, len(p.LHS)),
-		codes: make([][]uint32, len(p.LHS)),
+		cols:  make([]*Column, len(p.LHS)),
 		nrows: t.NumRows(),
 		row:   make([]*SpanEval, len(p.LHS)),
 	}
 	for j, a := range p.LHS {
 		ci := t.MustCol(a)
-		b.codes[j] = t.Codes(ci)
+		col := NewColumn(t, ci)
+		b.cols[j] = &col
 		b.lhs[j] = p.bindColumn(t.Dict(ci), func(ri int) Cell { return p.Tableau[ri].LHS[j] })
-	}
-	if len(p.LHS) == 1 {
-		b.counts = t.DictCounts(t.MustCol(p.LHS[0]))
+		for _, ev := range b.lhs[j] {
+			if ev.Sparse() {
+				b.cols[j].IndexRows()
+				break
+			}
+		}
 	}
 	if withRHS {
 		ci := t.MustCol(p.RHS)
@@ -207,7 +280,7 @@ func (b *tableauBind) lhsRow(ri int) []*SpanEval {
 
 // partition builds tableau row ri's LHS partition into pt.
 func (b *tableauBind) partition(pt *Partition, ri int) {
-	pt.Build(b.lhsRow(ri), b.codes, b.counts, b.nrows)
+	pt.Build(b.lhsRow(ri), b.cols, b.nrows)
 }
 
 // MatchesLHS reports whether table row id matches every LHS cell of
@@ -232,16 +305,20 @@ func (p *PFD) LHSMatchBitmap(t *relation.Table) []uint64 {
 	b := p.bind(t, false)
 	words := make([]uint64, kernel.Words(b.nrows))
 	row := make([]uint64, len(words))
+	var tmp []uint64
 	for ri := range p.Tableau {
-		andSpanBitmaps(row, b.lhsRow(ri), b.codes, b.nrows)
+		andSpanBitmaps(row, &tmp, b.lhsRow(ri), b.cols, b.nrows)
 		kernel.OrInPlace(words, row)
 	}
 	return words
 }
 
 // andSpanBitmaps fills dst (kernel.Words(nrows) words) with the AND of
-// every LHS evaluation's match bitmap against its aligned code vector.
-func andSpanBitmaps(dst []uint64, evs []*SpanEval, codes [][]uint32, nrows int) {
+// every LHS evaluation's match bitmap over its column. A dense
+// evaluation expands through the code vector; a sparse one sets the
+// rows of its codes' postings, in *tmp (grown to dst's length) when it
+// is not the first.
+func andSpanBitmaps(dst []uint64, tmp *[]uint64, evs []*SpanEval, cols []*Column, nrows int) {
 	dst = dst[:kernel.Words(nrows)]
 	if len(evs) == 0 {
 		// Degenerate empty LHS: every row matches vacuously.
@@ -253,9 +330,32 @@ func andSpanBitmaps(dst []uint64, evs []*SpanEval, codes [][]uint32, nrows int) 
 		}
 		return
 	}
-	kernel.MatchBitmapSigned(dst, codes[0][:nrows], evs[0].Sid)
-	for j := 1; j < len(evs); j++ {
-		kernel.AndMatchBitmapSigned(dst, codes[j][:nrows], evs[j].Sid)
+	for j, ev := range evs {
+		codes := cols[j].Codes[:nrows]
+		switch {
+		case !ev.Sparse() && j == 0:
+			kernel.MatchBitmapSigned(dst, codes, ev.Sid)
+		case !ev.Sparse():
+			kernel.AndMatchBitmapSigned(dst, codes, ev.Sid)
+		case j == 0:
+			setHitRows(dst, ev.Hits, cols[j].Post)
+		default:
+			if cap(*tmp) < len(dst) {
+				*tmp = make([]uint64, len(dst))
+			}
+			*tmp = (*tmp)[:len(dst)]
+			setHitRows(*tmp, ev.Hits, cols[j].Post)
+			kernel.And(dst, dst, *tmp)
+		}
+	}
+}
+
+// setHitRows overwrites dst with the bitmap of the rows holding any
+// code in hits.
+func setHitRows(dst []uint64, hits []kernel.Hit, post *kernel.Postings) {
+	clear(dst)
+	for _, h := range hits {
+		kernel.SetSorted(dst, post.Rows(h.Code))
 	}
 }
 
@@ -277,7 +377,7 @@ func (p *PFD) Satisfied(t *relation.Table) bool {
 type Partition struct {
 	single   bool
 	gg       kernel.Groups
-	bm       []uint64
+	bm, tmp  []uint64
 	keyBuf   []byte
 	keys     []string
 	groupIdx map[string]int
@@ -287,26 +387,30 @@ type Partition struct {
 }
 
 // Build partitions the rows of an nrows-row table that match every LHS
-// evaluation evs[j] over its code vector codes[j]; counts are the live
-// dictionary multiplicities of evs[0]'s column, read only for a
-// single-attribute LHS.
+// evaluation evs[j] over its column cols[j].
 //
-// A single-attribute LHS groups rows by interned span id with the
-// counting-sort gather — histogram in O(distinct) off the dictionary
-// multiplicities, one allocation-free scatter. A wider LHS And-combines
-// the per-attribute match bitmaps and builds the '\x00'-joined span
-// key only for rows that survive the bitmap; zero words skip 64 rows at
-// a time. Groups are sorted by span key and row ids ascend. Build is
-// serial: a batch call spreads its work over cores one level up, in
-// the kernel.ForEach pool of its caller (the planner's LHS groups,
-// discovery's candidates).
-func (pt *Partition) Build(evs []*SpanEval, codes [][]uint32, counts []int, nrows int) {
+// A single-attribute LHS groups rows by interned span id with a
+// counting-sort gather. A dense evaluation scatters the whole code
+// vector, its histogram taken in O(distinct) off the dictionary
+// multiplicities; a sparse one reads only the postings of the codes it
+// accepts (cols[0].Post), so a constant touches just its own rows. A
+// wider LHS And-combines the per-attribute match bitmaps and builds the
+// '\x00'-joined span key only for rows that survive the bitmap; zero
+// words skip 64 rows at a time. Groups are sorted by span key and row
+// ids ascend. Build is serial: a batch call spreads its work over cores
+// one level up, in the kernel.ForEach pool of its caller (the planner's
+// LHS groups, discovery's candidates).
+func (pt *Partition) Build(evs []*SpanEval, cols []*Column, nrows int) {
 	pt.order = pt.order[:0]
 	pt.covered = 0
 	pt.single = len(evs) == 1
 	if pt.single {
 		ev := evs[0]
-		kernel.GatherGroupsCodes(&pt.gg, codes[0], ev.Sid, counts)
+		if ev.Sparse() {
+			kernel.GatherGroupsPostings(&pt.gg, cols[0].Post, ev.Hits, len(ev.Sids))
+		} else {
+			kernel.GatherGroupsCodes(&pt.gg, cols[0].Codes, ev.Sid, cols[0].Counts)
+		}
 		for i := 0; i < pt.gg.Len(); i++ {
 			pt.order = append(pt.order, i)
 			pt.covered += len(pt.gg.Rows(i))
@@ -321,7 +425,7 @@ func (pt *Partition) Build(evs []*SpanEval, codes [][]uint32, counts []int, nrow
 		pt.bm = make([]uint64, kernel.Words(nrows))
 	}
 	pt.bm = pt.bm[:kernel.Words(nrows)]
-	andSpanBitmaps(pt.bm, evs, codes, nrows)
+	andSpanBitmaps(pt.bm, &pt.tmp, evs, cols, nrows)
 	if pt.groupIdx == nil {
 		pt.groupIdx = make(map[string]int)
 	}
@@ -336,7 +440,7 @@ func (pt *Partition) Build(evs []*SpanEval, codes [][]uint32, counts []int, nrow
 			pt.covered++
 			pt.keyBuf = pt.keyBuf[:0]
 			for j, ev := range evs {
-				pt.keyBuf = append(pt.keyBuf, ev.Sids[ev.Sid[codes[j][id]]]...)
+				pt.keyBuf = append(pt.keyBuf, ev.Sids[ev.SidOf(cols[j].Codes[id])]...)
 				pt.keyBuf = append(pt.keyBuf, '\x00') // unambiguous separator
 			}
 			gi, seen := pt.groupIdx[string(pt.keyBuf)]
@@ -515,7 +619,7 @@ func (p *PFD) ScanGroup(sc *GroupScan, ri int, ids []int32, constant bool, rhsCo
 func (sc *GroupScan) check(ids []int32, constant bool, rhsCodes []uint32, rhsEv *SpanEval) int {
 	sc.reset(len(rhsEv.Sids))
 	for _, id := range ids {
-		sid := rhsEv.Sid[rhsCodes[id]]
+		sid := rhsEv.SidOf(rhsCodes[id])
 		if sid < 0 {
 			sc.nonMatching = append(sc.nonMatching, id)
 			continue

@@ -66,11 +66,6 @@ var execWorkers = runtime.GOMAXPROCS(0)
 type cellEntry struct {
 	col  string
 	cell pfd.Cell
-	// constVal is the cell's pinned value when the pattern is fully
-	// constrained to a single string — such cells short-circuit on a
-	// plain dictionary scan with no pattern work at all.
-	constVal string
-	isConst  bool
 }
 
 // member is one tableau row of one rule, viewed from its LHS group.
@@ -157,11 +152,7 @@ func New(pfds []*pfd.PFD) *Plan {
 		if !ok {
 			i = len(p.cells)
 			cellIdx[string(keyBuf)] = i
-			e := cellEntry{col: col, cell: c}
-			if v, ok := c.Constant(); ok && c.Pattern != nil && c.Pattern.FullyConstrained() {
-				e.constVal, e.isConst = v, true
-			}
-			p.cells = append(p.cells, e)
+			p.cells = append(p.cells, cellEntry{col: col, cell: c})
 		}
 		cellPtr[pk] = i
 		return i
@@ -242,9 +233,8 @@ func (p *Plan) ViolationsContext(ctx context.Context, t *relation.Table) ([][]pf
 
 // colState is one table column resolved for this execute.
 type colState struct {
+	pfd.Column
 	dict   []string
-	codes  []uint32
-	counts []int
 	needed []int // cell-pool indices bound over this column, ascending
 }
 
@@ -271,71 +261,23 @@ func (p *Plan) Run(ctx context.Context, t *relation.Table) (out [][]pfd.Violatio
 	// either runs).
 	cols := make(map[string]*colState)
 	var colOrder []*colState
-	for _, e := range p.cells {
-		if _, ok := cols[e.col]; !ok {
-			ci := t.MustCol(e.col)
-			cs := &colState{dict: t.Dict(ci), codes: t.Codes(ci), counts: t.DictCounts(ci)}
+	for ci, e := range p.cells {
+		cs, ok := cols[e.col]
+		if !ok {
+			tc := t.MustCol(e.col)
+			cs = &colState{Column: pfd.NewColumn(t, tc), dict: t.Dict(tc)}
 			cols[e.col] = cs
 			colOrder = append(colOrder, cs)
 		}
+		cs.needed = append(cs.needed, ci)
 	}
 
-	// Short-circuit pass 1 — fully-constrained constant cells, by a
-	// plain dictionary scan summing live counts: no pattern work, and a
-	// zero sum proves the cell matches no live row. Sound to skip the
-	// group because a tableau row with an unmatched LHS cell has no
-	// matching tuples, hence no groups and no violations (constant or
-	// variable alike); the RHS never short-circuits — tuples whose RHS
-	// fails to match are exactly the nonMatching violations.
-	constW := make([]int, len(p.cells))
-	for i := range constW {
-		constW[i] = -1
-	}
-	constWeight := func(ci int) int {
-		if constW[ci] >= 0 {
-			return constW[ci]
-		}
-		e := &p.cells[ci]
-		cs := cols[e.col]
-		w := 0
-		for code, v := range cs.dict {
-			if v == e.constVal {
-				w += cs.counts[code]
-			}
-		}
-		constW[ci] = w
-		return w
-	}
-	live := make([]liveGroup, 0, len(p.groups))
-	needed := make([]bool, len(p.cells))
-groups:
-	for gi := range p.groups {
-		g := &p.groups[gi]
-		for _, ci := range g.lhs {
-			if p.cells[ci].isConst && constWeight(ci) == 0 {
-				skipped++
-				continue groups
-			}
-		}
-		live = append(live, liveGroup{gi: gi})
-		for _, ci := range g.lhs {
-			needed[ci] = true
-		}
-		for _, m := range g.members {
-			needed[m.rhs] = true
-		}
-	}
-
-	// Bind: evaluate every cell the surviving groups touch, once, for
-	// this execute only — all of one column's cells in one anchored
-	// pass over its dictionary.
+	// Bind: evaluate every pooled cell, once, for this execute only —
+	// all of one column's cells in one anchored pass over its
+	// dictionary. A constant or anchored-prefix cell comes back as the
+	// sparse list of the codes it matches, so binding one costs nothing
+	// per dictionary entry it misses.
 	evs := make([]*pfd.SpanEval, len(p.cells))
-	for ci := range p.cells {
-		if needed[ci] {
-			cs := cols[p.cells[ci].col]
-			cs.needed = append(cs.needed, ci)
-		}
-	}
 	var cells []pfd.Cell
 	for _, cs := range colOrder {
 		cells = cells[:0]
@@ -347,30 +289,34 @@ groups:
 		}
 	}
 
-	// Short-circuit pass 2 + ordering — dictionary-derived selectivity:
-	// a group's weight is the minimum matched live weight over its LHS
+	// Short-circuit + ordering — dictionary-derived selectivity: a
+	// group's weight is the minimum matched live weight over its LHS
 	// cells, an upper bound on the rows any scan of it can touch. Zero
-	// weight skips the group outright (same soundness argument as the
-	// constant pass, now for arbitrary patterns); the rest run heaviest
-	// first so the pool tail isn't a single large straggler.
-	kept := live[:0]
-	for _, lg := range live {
-		g := &p.groups[lg.gi]
+	// weight skips the group outright: a tableau row with an unmatched
+	// LHS cell has no matching tuples, hence no groups and no violations
+	// (constant or variable alike). The RHS never short-circuits —
+	// tuples whose RHS fails to match are exactly the nonMatching
+	// violations. The rest run heaviest first so the pool tail isn't a
+	// single large straggler. A sparse LHS cell is gathered from its
+	// column's postings, built here once per column that needs them.
+	live := make([]liveGroup, 0, len(p.groups))
+	for gi := range p.groups {
+		g := &p.groups[gi]
 		w := nrows
 		for _, ci := range g.lhs {
-			cw := kernel.MatchedWeight(evs[ci].Sid, cols[p.cells[ci].col].counts)
-			if cw < w {
-				w = cw
-			}
+			w = min(w, matchedWeight(evs[ci], cols[p.cells[ci].col].Counts, nrows))
 		}
 		if w == 0 && len(g.lhs) > 0 {
 			skipped++
 			continue
 		}
-		lg.weight = w
-		kept = append(kept, lg)
+		live = append(live, liveGroup{gi: gi, weight: w})
+		for _, ci := range g.lhs {
+			if evs[ci].Sparse() {
+				cols[p.cells[ci].col].IndexRows()
+			}
+		}
 	}
-	live = kept
 	sort.Slice(live, func(i, j int) bool {
 		if live[i].weight != live[j].weight {
 			return live[i].weight > live[j].weight
@@ -409,6 +355,24 @@ groups:
 	return out, skipped, nil
 }
 
+// matchedWeight is the number of live rows ev matches over a column
+// with live per-code counts counts. A sparse cell's weight is exact,
+// the sum of its k codes' counts; a dense cell is bounded by nrows, or
+// 0 when it matches no dictionary value at all.
+func matchedWeight(ev *pfd.SpanEval, counts []int, nrows int) int {
+	if !ev.Sparse() {
+		if len(ev.Sids) == 0 {
+			return 0
+		}
+		return nrows
+	}
+	w := 0
+	for _, h := range ev.Hits {
+		w += counts[h.Code]
+	}
+	return w
+}
+
 // execScratch is one worker's reusable scan state.
 type execScratch struct {
 	part  pfd.Partition
@@ -434,16 +398,11 @@ type memberKey struct {
 // every member tableau row with the member's own RHS evaluation.
 func (p *Plan) runGroup(w *execScratch, g *group, evs []*pfd.SpanEval, cols map[string]*colState, nrows int, blocks [][][]pfd.Violation) {
 	lhsEvs := make([]*pfd.SpanEval, len(g.lhs))
-	lhsCodes := make([][]uint32, len(g.lhs))
-	var counts []int
+	lhsCols := make([]*pfd.Column, len(g.lhs))
 	for j, ci := range g.lhs {
-		cs := cols[p.cells[ci].col]
-		lhsEvs[j], lhsCodes[j] = evs[ci], cs.codes
-		if j == 0 {
-			counts = cs.counts
-		}
+		lhsEvs[j], lhsCols[j] = evs[ci], &cols[p.cells[ci].col].Column
 	}
-	w.part.Build(lhsEvs, lhsCodes, counts, nrows)
+	w.part.Build(lhsEvs, lhsCols, nrows)
 
 	if w.dedup == nil {
 		w.dedup = make(map[memberKey][]pfd.Violation)
@@ -457,7 +416,7 @@ func (p *Plan) runGroup(w *execScratch, g *group, evs []*pfd.SpanEval, cols map[
 		}
 		pf := p.pfds[m.rule]
 		rhsEv := evs[m.rhs]
-		rhsCodes := cols[p.cells[m.rhs].col].codes
+		rhsCodes := cols[p.cells[m.rhs].col].Codes
 		var block []pfd.Violation
 		for i := 0; i < w.part.Len(); i++ {
 			block = append(block, pf.ScanGroup(&w.scan, m.ri, w.part.Rows(i), m.constant, rhsCodes, rhsEv)...)

@@ -171,6 +171,39 @@ func TestShortCircuitZeroMatch(t *testing.T) {
 	}
 }
 
+// TestPrefixGroupRowsAscend pins row order in a group that one
+// anchored prefix spans over several interleaved codes: the group is
+// gathered from each code's postings in turn (rows 0, 2, 5 of 90002,
+// then 1, 3, 4 of 90001), and must still be scanned in row order, so
+// the minority rows 4 and 5 are reported in that order.
+func TestPrefixGroupRowsAscend(t *testing.T) {
+	tb := relation.New("T", "a", "c")
+	for i, a := range []string{"90002", "90001", "90002", "90001", "90001", "90002"} {
+		tb.Append(a, []string{"x", "x", "x", "x", "y", "y"}[i])
+	}
+	rule := pfd.MustNew("T", []string{"a"}, "c", pfd.Row{
+		LHS: []pfd.Cell{pfd.Pat(pattern.MustParse(`(900)\A*`))},
+		RHS: pfd.Wildcard(),
+	})
+	got, _, err := New([]*pfd.PFD{rule}).Run(context.Background(), tb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []int
+	for _, v := range got[0] {
+		if v.Expected != "x" || v.WitnessRow != 0 {
+			t.Fatalf("violation %+v: want consensus x witnessed by row 0", v)
+		}
+		rows = append(rows, v.ErrorCell.Row)
+	}
+	if !reflect.DeepEqual(rows, []int{4, 5}) {
+		t.Fatalf("violating rows %v, want [4 5]", rows)
+	}
+	if want := independent([]*pfd.PFD{rule}, tb); !reflect.DeepEqual(got, want) {
+		t.Fatalf("planned diverges from independent:\ngot  %v\nwant %v", got, want)
+	}
+}
+
 // TestPlanSharing checks the factoring itself: replicated rules must
 // collapse to the distinct cells and groups of one copy.
 func TestPlanSharing(t *testing.T) {

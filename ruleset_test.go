@@ -190,6 +190,23 @@ func TestRulesetJSONErrorOnePrefix(t *testing.T) {
 	}
 }
 
+// TestLoadRulesetRejectsRepeatedAttribute pins that both codecs refuse
+// a rule side naming one attribute twice, with the one typed error
+// the rule grammar and pfd.New share, instead of keeping or dropping
+// one of the two cells.
+func TestLoadRulesetRejectsRepeatedAttribute(t *testing.T) {
+	text := `R([a = (\D)\D*, a = (9)\D*] -> [c = M])` + "\n"
+	jsonSrc := `{"format": "pfd-ruleset", "version": 1, "rules": [{"relation": "R", "lhs": ["a", "a"], "rhs": "c",
+		"tableau": [{"lhs": ["(\\D)\\D*", "(9)\\D*"], "rhs": "M"}]}]}`
+	for _, src := range []string{text, jsonSrc} {
+		_, err := pfd.LoadRuleset(strings.NewReader(src))
+		var dup *ipfd.DuplicateAttrError
+		if !errors.As(err, &dup) || dup.Attr != "a" || dup.Side != "LHS" {
+			t.Errorf("LoadRuleset(%s) error = %v, want a *DuplicateAttrError for LHS attribute a", src, err)
+		}
+	}
+}
+
 func TestLoadRulesetReportsLineNumbers(t *testing.T) {
 	src := "# a comment\n\nZip([zip = (900)\\D{2}] -> [city = LA])\nnot a rule\n"
 	_, err := pfd.LoadRuleset(strings.NewReader(src))

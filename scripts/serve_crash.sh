@@ -18,10 +18,13 @@ set -euo pipefail
 
 workdir=$(mktemp -d)
 server_pid=""
+bg_client=""
 cleanup() {
-  if [ -n "$server_pid" ] && kill -0 "$server_pid" 2>/dev/null; then
-    kill -9 "$server_pid" 2>/dev/null || true
-  fi
+  for pid in "$server_pid" "$bg_client"; do
+    if [ -n "$pid" ] && kill -0 "$pid" 2>/dev/null; then
+      kill -9 "$pid" 2>/dev/null || true
+    fi
+  done
   rm -rf "$workdir"
 }
 trap cleanup EXIT
@@ -39,8 +42,8 @@ say "mining the ruleset"
 "$workdir/bin/pfd" discover -in "$csv" -rules "$workdir/rules.json" >/dev/null
 rule_count=$(python3 -c "import json,sys; print(len(json.load(open(sys.argv[1]))['rules']))" "$workdir/rules.json")
 
-# Slice the stream: three acknowledged foreground batches, then a large
-# background body (the stream repeated) to be killed mid-flight.
+# Slice the stream: three acknowledged foreground batches, then the
+# first chunk of a background body that is killed mid-flight.
 hdr=$(head -1 "$csv")
 tail -n +2 "$csv" >"$workdir/body.csv"
 body_rows=$(wc -l <"$workdir/body.csv")
@@ -49,7 +52,7 @@ for i in 1 2 3; do
   { echo "$hdr"; sed -n "$(((i - 1) * fg_batch + 1)),$((i * fg_batch))p" "$workdir/body.csv"; } \
     >"$workdir/fg_$i.csv"
 done
-{ echo "$hdr"; for _ in $(seq 1 50); do cat "$workdir/body.csv"; done; } >"$workdir/bg.csv"
+{ echo "$hdr"; sed -n "$((3 * fg_batch + 1)),\$p" "$workdir/body.csv"; } >"$workdir/bg.csv"
 
 boot_server() {
   "$workdir/bin/pfdserved" -addr 127.0.0.1:0 -idle 10m -ring 1000000 \
@@ -83,15 +86,56 @@ done
 acked_report=$(curl -sfS "http://$addr/v1/tenants/crash/report")
 say "acknowledged $acked rows"
 
+# The background body is sent chunked and never finished: the client
+# sends its first chunk, waits until the daemon's in-memory row count
+# shows it has ingested rows of this body, reports that in a marker
+# file, and then holds the body open. The kill lands only after the
+# marker, so the batch is provably mid-flight: its body has not ended,
+# so the daemon cannot have acknowledged or journaled it.
 say "kill -9 mid-way through a background ingest"
-curl -s -X POST -H 'Content-Type: text/csv' --data-binary @"$workdir/bg.csv" \
-  "http://$addr/v1/tenants/crash/tuples" >/dev/null 2>&1 &
-bg_curl=$!
-sleep 0.3
+python3 - "$addr" "$workdir/bg.csv" "$acked" "$workdir/midflight" <<'EOF' &
+import http.client, json, sys, time
+addr, bg, acked, marker = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4]
+host, port = addr.rsplit(":", 1)
+conn = http.client.HTTPConnection(host, int(port), timeout=60)
+conn.putrequest("POST", "/v1/tenants/crash/tuples")
+conn.putheader("Content-Type", "text/csv")
+conn.putheader("Transfer-Encoding", "chunked")
+conn.endheaders()
+chunk = open(bg, "rb").read()
+conn.send(b"%x\r\n%s\r\n" % (len(chunk), chunk))
+deadline = time.monotonic() + 30
+while True:
+    probe = http.client.HTTPConnection(host, int(port), timeout=5)
+    probe.request("GET", "/v1/tenants/crash/report")
+    rows = json.load(probe.getresponse())["rows"]
+    probe.close()
+    if rows > acked:
+        break
+    if time.monotonic() > deadline:
+        sys.exit(f"the daemon never ingested the background body ({rows} rows)")
+    time.sleep(0.02)
+with open(marker, "w") as f:
+    f.write(f"{rows}\n")
+try:
+    conn.sock.recv(1)  # returns once the killed daemon's socket closes
+except OSError:
+    pass
+EOF
+bg_client=$!
+for _ in $(seq 1 300); do
+  [ -s "$workdir/midflight" ] && break
+  kill -0 "$bg_client" 2>/dev/null || break
+  sleep 0.1
+done
+[ -s "$workdir/midflight" ] ||
+  { say "the background body never reached the daemon"; exit 1; }
+say "killing with $(cat "$workdir/midflight") rows in memory, body still open"
 kill -9 "$server_pid"
 wait "$server_pid" 2>/dev/null || true
 server_pid=""
-wait "$bg_curl" 2>/dev/null || true
+wait "$bg_client" 2>/dev/null || true
+bg_client=""
 
 say "restarting on the same data directory"
 boot_server "$workdir/serve2.log"
