@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 
@@ -151,7 +152,7 @@ var numWorkers = runtime.GOMAXPROCS(0)
 
 // evalCandidates evaluates one lattice level's candidates on the
 // kernel.ForEach pool, numWorkers wide. Each worker owns a discoverer
-// whose scratch (count buffers, draft bitset) is reused across its
+// whose scratch (count buffers, draft bitmap) is reused across its
 // candidates; results land in candidate order. Cancellation stops the
 // level after at most one in-flight candidate per worker.
 func evalCandidates(ctx context.Context, shared sharedState, cands []lattice.Candidate) ([]*Dependency, error) {
@@ -181,9 +182,9 @@ type discoverer struct {
 	rhsCounts []int32
 	// countsFree recycles extend's per-recursion-level count buffers.
 	countsFree [][]int32
-	// draftIDs is the reusable bitset materializing a draft's row set; it
-	// is cloned only when the draft is accepted.
-	draftIDs *index.Bitset
+	// draftIDs is the reusable kernel bitmap of a draft's row set; it is
+	// cloned only when the draft is accepted.
+	draftIDs []uint64
 	// order is the current candidate's LHS attributes sorted by pattern
 	// count — the draft-extension order. Draft entries align with it.
 	order []string
@@ -288,16 +289,14 @@ func (d *discoverer) tryCandidate(lhsIdx []int, rhsIdx int) *Dependency {
 	// order) already constrains those tuples, and on dirty data the
 	// subset's deviating RHS pick is noise-driven (a corrupted value can
 	// push a truncated pattern past the threshold inside a small group).
-	covered := index.NewBitset(t.NumRows())
+	words := kernel.Words(t.NumRows())
+	covered := make([]uint64, words)
 	var rows []pfd.Row
-	type accepted struct {
-		ids *index.Bitset
-	}
-	var acc []accepted
+	var acc [][]uint64
 	seen := map[string]bool{}
 	rhsAttr := d.inv.Attrs[rhs]
-	if d.draftIDs == nil || d.draftIDs.Cap() != t.NumRows() {
-		d.draftIDs = index.NewBitset(t.NumRows())
+	if len(d.draftIDs) != words {
+		d.draftIDs = make([]uint64, words)
 	}
 	for _, dr := range drafts {
 		n := len(dr.rows)
@@ -316,13 +315,11 @@ func (d *discoverer) tryCandidate(lhsIdx []int, rhsIdx int) *Dependency {
 			continue
 		}
 		rhsKey := rhsAttr.Entries[be].Key
-		d.draftIDs.Clear()
-		for _, r := range dr.rows {
-			d.draftIDs.Set(int(r))
-		}
+		clear(d.draftIDs)
+		kernel.SetSorted(d.draftIDs, dr.rows)
 		redundant := false
 		for _, a := range acc {
-			if d.draftIDs.SubsetOf(a.ids) {
+			if !kernel.AndNotAny(d.draftIDs, a) {
 				redundant = true
 				break
 			}
@@ -335,17 +332,16 @@ func (d *discoverer) tryCandidate(lhsIdx []int, rhsIdx int) *Dependency {
 			continue
 		}
 		seen[key] = true
-		ids := d.draftIDs.Clone()
 		rows = append(rows, *row)
-		acc = append(acc, accepted{ids: ids})
-		covered.OrInPlace(ids)
+		acc = append(acc, slices.Clone(d.draftIDs))
+		kernel.OrInPlace(covered, d.draftIDs)
 	}
 	if len(rows) == 0 {
 		return nil
 	}
 
 	// Line 22: minimum coverage γ (restriction ii).
-	support := covered.Count()
+	support := kernel.PopcountSum(covered)
 	coverage := float64(support) / float64(t.NumRows())
 	if coverage < d.params.MinCoverage {
 		return nil

@@ -2,96 +2,22 @@ package index
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"pfd/internal/datagen"
 	"pfd/internal/relation"
 )
 
-func TestBitsetBasics(t *testing.T) {
-	b := NewBitset(130)
-	for _, id := range []int{0, 63, 64, 129} {
-		b.Set(id)
-	}
-	if b.Count() != 4 {
-		t.Errorf("Count = %d", b.Count())
-	}
-	if !b.Has(64) || b.Has(65) {
-		t.Error("Has wrong")
-	}
-	want := []int{0, 63, 64, 129}
-	got := b.IDs()
-	if len(got) != len(want) {
-		t.Fatalf("IDs = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("IDs = %v", got)
+// lookup returns the posting list of key k in a, or nil.
+func lookup(a *Attribute, k Key) []int32 {
+	for i := range a.Entries {
+		if a.Entries[i].Key == k {
+			return a.Entries[i].List
 		}
 	}
-	sum := 0
-	b.ForEach(func(id int) { sum += id })
-	if sum != 0+63+64+129 {
-		t.Errorf("ForEach sum = %d", sum)
-	}
-}
-
-func TestBitsetOps(t *testing.T) {
-	a, b := NewBitset(100), NewBitset(100)
-	a.Set(1)
-	a.Set(2)
-	a.Set(70)
-	b.Set(2)
-	b.Set(70)
-	b.Set(99)
-	and := a.And(b)
-	if and.Count() != 2 || !and.Has(2) || !and.Has(70) {
-		t.Errorf("And = %v", and.IDs())
-	}
-	if a.AndCount(b) != 2 {
-		t.Errorf("AndCount = %d", a.AndCount(b))
-	}
-	or := a.Or(b)
-	if or.Count() != 4 {
-		t.Errorf("Or = %v", or.IDs())
-	}
-	if !and.SubsetOf(a) || a.SubsetOf(and) {
-		t.Error("SubsetOf wrong")
-	}
-	if !a.Equal(a) || a.Equal(b) {
-		t.Error("Equal wrong")
-	}
-	c := NewBitset(100)
-	c.OrInPlace(a)
-	if !c.Equal(a) {
-		t.Error("OrInPlace wrong")
-	}
-}
-
-func TestQuickBitsetLaws(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	mk := func() *Bitset {
-		b := NewBitset(256)
-		for i := 0; i < r.Intn(40); i++ {
-			b.Set(r.Intn(256))
-		}
-		return b
-	}
-	f := func() bool {
-		a, b := mk(), mk()
-		and, or := a.And(b), a.Or(b)
-		// |A| + |B| = |A∩B| + |A∪B|
-		if a.Count()+b.Count() != and.Count()+or.Count() {
-			return false
-		}
-		if !and.SubsetOf(a) || !and.SubsetOf(b) || !a.SubsetOf(or) {
-			return false
-		}
-		return and.Equal(b.And(a)) && or.Equal(b.Or(a))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
+	return nil
 }
 
 func zipTable() *relation.Table {
@@ -113,17 +39,16 @@ func TestBuildNGramIndex(t *testing.T) {
 	}
 	// The most specific shared prefix of 90001..90004 is 9000; shorter
 	// prefixes with the same id set must be pruned in its favor (§4.4).
-	b := zip.Lookup(Key{Text: "9000", Pos: 0})
-	if b == nil || b.Count() != 4 {
-		t.Fatalf("posting for 9000 = %v", b)
+	if l := lookup(zip, Key{Text: "9000", Pos: 0}); len(l) != 4 {
+		t.Fatalf("posting for 9000 = %v", l)
 	}
 	for _, short := range []string{"9", "90", "900"} {
-		if zip.Lookup(Key{Text: short, Pos: 0}) != nil {
+		if lookup(zip, Key{Text: short, Pos: 0}) != nil {
 			t.Errorf("substring pruning must drop %q in favor of 9000", short)
 		}
 	}
 	// Full zips survive as singleton postings.
-	if b := zip.Lookup(Key{Text: "90001", Pos: 0}); b == nil || b.Count() != 1 {
+	if l := lookup(zip, Key{Text: "90001", Pos: 0}); len(l) != 1 {
 		t.Error("full zip posting missing")
 	}
 }
@@ -140,16 +65,15 @@ func TestBuildTokenIndex(t *testing.T) {
 	if name.Mode != relation.ModeTokenize {
 		t.Fatalf("name mode = %v", name.Mode)
 	}
-	john := name.Lookup(Key{Text: "John", Pos: 0})
-	if john == nil || john.Count() != 2 || !john.Has(0) || !john.Has(1) {
+	if john := lookup(name, Key{Text: "John", Pos: 0}); !slices.Equal(john, []int32{0, 1}) {
 		t.Fatalf("posting John = %v", john)
 	}
 	// The singleton token Charles is subsumed by the whole value
 	// "John Charles" with the same id set and must be pruned (§4.4).
-	if name.Lookup(Key{Text: "Charles", Pos: 5}) != nil {
+	if lookup(name, Key{Text: "Charles", Pos: 5}) != nil {
 		t.Error("token subsumed by whole value must be pruned")
 	}
-	if name.Lookup(Key{Text: "John Charles", Pos: 0}) == nil {
+	if lookup(name, Key{Text: "John Charles", Pos: 0}) == nil {
 		t.Error("whole-value posting missing for tokenized column")
 	}
 }
@@ -160,7 +84,7 @@ func TestMinIDsFilter(t *testing.T) {
 	inv := Build(tb, profs, []string{"zip"}, Options{MinIDs: 2})
 	zip := inv.Attrs["zip"]
 	for _, e := range zip.Entries {
-		if e.IDs.Count() < 2 {
+		if e.Count() < 2 {
 			t.Errorf("entry %v below MinIDs survived", e.Key)
 		}
 	}
@@ -245,25 +169,6 @@ func TestPruneSubstringsMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestLookupMapBacked(t *testing.T) {
-	tab := relation.New("T", "zip")
-	for _, v := range []string{"90001", "90002", "90001", "60601"} {
-		tab.Append(v)
-	}
-	profs := relation.ProfileTable(tab)
-	inv := Build(tab, profs, nil, Options{})
-	a := inv.Attrs["zip"]
-	for i := range a.Entries {
-		ids := a.Lookup(a.Entries[i].Key)
-		if ids == nil || !ids.Equal(a.Entries[i].IDs) {
-			t.Fatalf("Lookup(%v) mismatch", a.Entries[i].Key)
-		}
-	}
-	if a.Lookup(Key{Text: "nope", Pos: 3}) != nil {
-		t.Error("Lookup of absent key must be nil")
-	}
-}
-
 func TestCountWithinIntoReuse(t *testing.T) {
 	tab := relation.New("T", "zip")
 	for _, v := range []string{"90001", "90002", "90003", "60601"} {
@@ -318,5 +223,71 @@ func TestGramGenerationMatchesNGrams(t *testing.T) {
 		if !got[k] {
 			t.Fatalf("missing gram %+v", k)
 		}
+	}
+}
+
+// intersectInOrder is Filter's specification: the rows of the
+// ascending rows that are in the ascending list, by a merge.
+func intersectInOrder(rows, list []int32) []int32 {
+	out := []int32{}
+	i := 0
+	for _, r := range rows {
+		for i < len(list) && list[i] < r {
+			i++
+		}
+		if i < len(list) && list[i] == r {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// checkFilter compares Filter with intersectInOrder for every entry of
+// a, on all rows and on random ascending subsets of them.
+func checkFilter(t *testing.T, r *rand.Rand, a *Attribute, numRows int) {
+	t.Helper()
+	all := make([]int32, numRows)
+	for i := range all {
+		all[i] = int32(i)
+	}
+	for ei, e := range a.Entries {
+		subsets := [][]int32{all}
+		for k := 0; k < 3; k++ {
+			keep := r.Float64()
+			var sub []int32
+			for _, row := range all {
+				if r.Float64() < keep {
+					sub = append(sub, row)
+				}
+			}
+			subsets = append(subsets, sub)
+		}
+		for _, rows := range subsets {
+			if got, want := a.Filter(rows, ei), intersectInOrder(rows, e.List); !slices.Equal(got, want) {
+				t.Fatalf("%s: Filter(%d rows, entry %d %+v) = %v, want %v", a.Name, len(rows), ei, e.Key, got, want)
+			}
+		}
+	}
+}
+
+// TestFilterMatchesIntersection pins Filter, which answers from
+// RowEntries, to the in-order intersection with the entry's List: on
+// the random columns of the oracle property test in both modes, and on
+// every usable column of one batch table.
+func TestFilterMatchesIntersection(t *testing.T) {
+	r := rand.New(rand.NewSource(32))
+	for trial := 0; trial < 200; trial++ {
+		tb, opt := randomColumn(r)
+		for _, mode := range []relation.ExtractMode{relation.ModeTokenize, relation.ModeNGrams} {
+			prof := relation.ColumnProfile{Name: "c", Mode: mode}
+			checkFilter(t, r, Build(tb, []relation.ColumnProfile{prof}, nil, opt).Attrs["c"], tb.NumRows())
+		}
+	}
+	spec, _ := datagen.SpecByID("T1")
+	tb, _ := spec.Build(spec.PaperRows/10, 3, 0.01)
+	bt := usableColumns(tb)
+	inv := Build(bt.t, bt.profs, bt.cols, Options{MinIDs: 5})
+	for _, c := range bt.cols {
+		checkFilter(t, r, inv.Attrs[c], bt.t.NumRows())
 	}
 }

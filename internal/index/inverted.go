@@ -1,3 +1,10 @@
+// Package index provides the hash-based inverted pattern index of the
+// paper's discovery algorithm (Figure 4, lines 5-12): for every attribute,
+// a map from (partial value, position) to the set of tuple ids containing
+// that partial value at that position, with the substring-pruning and
+// single-semantics optimizations of Section 4.4. Each key's tuple ids are
+// kept once, as a sorted posting list; RowEntries is the same relation
+// read by row.
 package index
 
 import (
@@ -20,8 +27,7 @@ type Key struct {
 // Entry is one posting: a partial value and the tuple ids containing it.
 type Entry struct {
 	Key Key
-	IDs *Bitset
-	// List holds the same ids in ascending order for cheap iteration.
+	// List holds the ids in ascending order.
 	List []int32
 }
 
@@ -33,12 +39,10 @@ type Attribute struct {
 	Name    string
 	Mode    relation.ExtractMode
 	Entries []Entry
-	// RowEntries[row] lists the indices into Entries whose posting
-	// contains the row; it lets callers count pattern frequencies within
-	// a row subset in time linear in the subset.
+	// RowEntries[row] lists, ascending, the indices into Entries whose
+	// posting contains the row; it lets callers count pattern
+	// frequencies within a row subset in time linear in the subset.
 	RowEntries [][]int32
-	// byKey maps each surviving entry's key to its index in Entries.
-	byKey map[Key]int32
 }
 
 // Inverted is the per-table index H of Figure 4.
@@ -52,8 +56,8 @@ type Options struct {
 	// MaxGram caps n-gram length (0 = longest value in the column).
 	MaxGram int
 	// MinIDs drops postings supported by fewer tuples (0 keeps all).
-	// Filtering happens before bitset materialization, so high-cardinality
-	// columns stay cheap.
+	// Supports come from the dictionary before any posting is filled, so
+	// high-cardinality columns stay cheap.
 	MinIDs int
 	// DisablePrune turns off the §4.4 substring pruning; used by the
 	// ablation benchmarks to measure what the optimization buys.
@@ -230,9 +234,10 @@ func runePrefixes(s string, lo, hi int) []string {
 // tokenKeys finds the surviving (token, rune offset) keys plus the
 // whole-value keys. A valid UTF-8 value is tokenized in place, so each
 // token is a substring of the value; an invalid one goes through
-// relation.Tokenize, whose tokens carry U+FFFD. One map gives every key
-// a slot, hashing each key occurrence once; survivors are then chosen
-// and renumbered by slot.
+// relation.Tokenize, whose tokens carry U+FFFD. One map gives every
+// token key a slot, hashing each token occurrence once; a whole-value
+// key takes a fresh slot. Survivors are then chosen and renumbered by
+// slot.
 func tokenKeys(dict []string, counts []int, opt Options) keySet {
 	slotOf := make(map[Key]int32, 2*len(dict))
 	all := make([]Key, 0, 2*len(dict))
@@ -288,8 +293,13 @@ func tokenKeys(dict []string, counts []int, opt Options) keySet {
 				add(Key{Text: tok, Pos: offs[i]}, c)
 			}
 		}
+		// A whole-value key holds a separator or invalid UTF-8, so it
+		// equals no token key, and dictionary values are distinct: it
+		// takes a fresh slot without the map.
 		if whole {
-			add(Key{Text: v}, c)
+			slots = append(slots, int32(len(all)))
+			all = append(all, Key{Text: v})
+			support = append(support, c)
 		}
 	}
 	start[len(dict)] = int32(len(slots))
@@ -359,26 +369,19 @@ func buildAttr(t *relation.Table, col string, prof relation.ColumnProfile, opt O
 }
 
 // finishAttr orders and prunes the postings, then materializes the
-// bitsets (one backing allocation for the whole attribute), the row ->
-// entries mapping (exact-capacity, sized by a degree-counting pass),
-// and the key lookup for survivors.
+// row -> entries mapping (exact-capacity, sized by a degree-counting
+// pass; each row's entry indices ascend).
 func finishAttr(col string, mode relation.ExtractMode, entries []Entry, numRows int, opt Options) *Attribute {
 	a := &Attribute{Name: col, Mode: mode, Entries: entries}
 	a.sortEntries()
 	if !opt.DisablePrune {
 		a.pruneSubstrings()
 	}
-	sets := NewBitsetBatch(len(a.Entries), numRows)
 	degree := make([]int32, numRows)
-	a.byKey = make(map[Key]int32, len(a.Entries))
 	for i := range a.Entries {
-		e := &a.Entries[i]
-		e.IDs = &sets[i]
-		e.IDs.SetSorted(e.List)
-		for _, id := range e.List {
+		for _, id := range a.Entries[i].List {
 			degree[id]++
 		}
-		a.byKey[e.Key] = int32(i)
 	}
 	a.RowEntries = make([][]int32, numRows)
 	flat := make([]int32, 0, int(sum32(degree)))
@@ -482,22 +485,6 @@ func equalLists(a, b []int32) bool {
 	return true
 }
 
-// Lookup returns the posting for a key, or nil.
-func (a *Attribute) Lookup(k Key) *Bitset {
-	if a.byKey != nil {
-		if i, ok := a.byKey[k]; ok {
-			return a.Entries[i].IDs
-		}
-		return nil
-	}
-	for i := range a.Entries {
-		if a.Entries[i].Key == k {
-			return a.Entries[i].IDs
-		}
-	}
-	return nil
-}
-
 // NumPatterns returns how many distinct postings the attribute holds —
 // the "number of frequent patterns" used to pick the starting attribute
 // in Figure 4, line 15.
@@ -531,12 +518,12 @@ func (a *Attribute) CountWithinInto(buf []int32, rows []int32) []int32 {
 }
 
 // Filter returns the subset of rows contained in entry ei, preserving
-// order.
+// order. Each row's membership is a binary search of its ascending
+// RowEntries, so the cost is the rows times the log of their degree.
 func (a *Attribute) Filter(rows []int32, ei int) []int32 {
-	ids := a.Entries[ei].IDs
 	out := make([]int32, 0, len(rows))
 	for _, r := range rows {
-		if ids.Has(int(r)) {
+		if _, ok := slices.BinarySearch(a.RowEntries[r], int32(ei)); ok {
 			out = append(out, r)
 		}
 	}

@@ -185,24 +185,30 @@ func randomValue(r *rand.Rand) string {
 	return sb.String()
 }
 
+// randomColumn draws a one-column table "c" of glued fragments, with
+// some retired dictionary codes, and random build options.
+func randomColumn(r *rand.Rand) (*relation.Table, Options) {
+	tb := relation.New("R", "c")
+	pool := make([]string, 1+r.Intn(30))
+	for i := range pool {
+		pool[i] = randomValue(r)
+	}
+	for n := 1 + r.Intn(80); n > 0; n-- {
+		tb.Append(pool[r.Intn(len(pool))])
+	}
+	// Rewritten cells retire dictionary codes (count 0).
+	for n := r.Intn(4); n > 0; n-- {
+		tb.Set(r.Intn(tb.NumRows()), "c", pool[r.Intn(len(pool))])
+	}
+	return tb, Options{MaxGram: r.Intn(5), MinIDs: r.Intn(6), DisablePrune: r.Intn(2) == 0}
+}
+
 // TestBuildMatchesOracleRandom is the property test: random columns of
 // glued fragments, under random options, in both modes.
 func TestBuildMatchesOracleRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(27))
 	for trial := 0; trial < 400; trial++ {
-		tb := relation.New("R", "c")
-		pool := make([]string, 1+r.Intn(30))
-		for i := range pool {
-			pool[i] = randomValue(r)
-		}
-		for n := 1 + r.Intn(80); n > 0; n-- {
-			tb.Append(pool[r.Intn(len(pool))])
-		}
-		// Rewritten cells retire dictionary codes (count 0).
-		for n := r.Intn(4); n > 0; n-- {
-			tb.Set(r.Intn(tb.NumRows()), "c", pool[r.Intn(len(pool))])
-		}
-		opt := Options{MaxGram: r.Intn(5), MinIDs: r.Intn(6), DisablePrune: r.Intn(2) == 0}
+		tb, opt := randomColumn(r)
 		checkAgainstOracle(t, tb, "c", relation.ModeTokenize, opt)
 		checkAgainstOracle(t, tb, "c", relation.ModeNGrams, opt)
 	}

@@ -132,20 +132,6 @@ func PopcountSum(words []uint64) int {
 	return c
 }
 
-// AndCount returns the popcount of the intersection without
-// materializing it. b may be shorter than a; missing words are zero.
-func AndCount(a, b []uint64) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	c := 0
-	for i := 0; i < n; i++ {
-		c += bits.OnesCount64(a[i] & b[i])
-	}
-	return c
-}
-
 // SetSorted sets the bit of every id in ids. The ids must be in range
 // for the bitmap; sorted input (the usual case: posting lists, gathered
 // groups) maximizes word locality but is not required.
@@ -153,19 +139,6 @@ func SetSorted(words []uint64, ids []int32) {
 	for _, id := range ids {
 		words[id>>6] |= 1 << (uint32(id) & 63)
 	}
-}
-
-// AppendIDs appends the positions of the set bits of words, in
-// ascending order, to dst and returns it.
-func AppendIDs(dst []int, words []uint64) []int {
-	for i, w := range words {
-		base := i * WordBits
-		for w != 0 {
-			dst = append(dst, base+bits.TrailingZeros64(w))
-			w &= w - 1
-		}
-	}
-	return dst
 }
 
 // Groups is the reusable output and scratch of the gather kernels: row

@@ -299,8 +299,8 @@ func (p *PFD) MatchesLHS(t *relation.Table, ri, id int) bool {
 // as a kernel bitmap (bit id set iff table row id matches every LHS
 // cell of some tableau row): the tableau is bound once, and each row's
 // match bitmap, the And of the per-attribute match bitmaps, is Or-ed
-// in. Popcount it for coverage counts; combine it with index bitsets
-// directly — both share the 64-rows-per-word layout.
+// in. Popcount it for coverage counts; combine it with other kernel
+// bitmaps directly — all share the 64-rows-per-word layout.
 func (p *PFD) LHSMatchBitmap(t *relation.Table) []uint64 {
 	b := p.bind(t, false)
 	words := make([]uint64, kernel.Words(b.nrows))
