@@ -6,17 +6,17 @@
 //
 //	go test -bench=. -benchmem
 //
-// The benchmark scale (BENCH_SCALE rows fraction) is a compromise between
-// fidelity and wall-clock; cmd/pfdbench -scale 1.0 runs the full paper
-// row counts.
+// The benchmark scale (benchScale, a fraction of the paper's rows) is a
+// compromise between fidelity and wall-clock; cmd/pfdbench -scale 1.0
+// runs the full paper row counts.
 package pfd_test
 
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
-	"pfd/internal/benchutil"
 	"pfd/internal/cfd"
 	"pfd/internal/datagen"
 	"pfd/internal/discovery"
@@ -27,6 +27,7 @@ import (
 	"pfd/internal/pfd"
 	"pfd/internal/relation"
 	"pfd/internal/repair"
+	"pfd/internal/stream"
 )
 
 const benchScale = 0.05
@@ -220,9 +221,10 @@ func BenchmarkAblationSupport(b *testing.B) {
 
 // Micro-benchmarks for the hot substrate paths. All report allocations:
 // the compiled matchers (internal/pattern/compile.go) are pinned to zero
-// steady-state allocs by regression tests, and these benchmarks keep the
-// perf trajectory visible (cmd/pfdbench -exp bench writes BENCH_PR9.json,
-// the CI gate's baseline; earlier snapshots' numbers are in CHANGES.md).
+// steady-state allocs by regression tests. The CI bench-gate job runs
+// these, with the planner's and discovery's T13 benchmarks, on the
+// parent commit and the change and compares medians with
+// cmd/benchdiff; earlier snapshots' numbers are in CHANGES.md.
 
 func BenchmarkPatternMatch(b *testing.B) {
 	p := pattern.MustParse(`(\LU\LL*\ )\A*`)
@@ -328,18 +330,70 @@ func BenchmarkRepairDetect(b *testing.B) {
 // runner the curve is flat by construction.
 func BenchmarkStreamCheck(b *testing.B) {
 	t, _ := benchTable(b, "T13")
-	tuples := benchutil.TableTuples(t)
-	pfds := benchutil.StreamPFDs()
+	tuples := tableTuples(t)
+	pfds := streamPFDs()
 	for _, producers := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("producers%d", producers), func(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				benchutil.RunStreamPass(pfds, tuples, producers)
+				runStreamPass(pfds, tuples, producers)
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(len(tuples)*b.N)/b.Elapsed().Seconds(), "tuples/s")
 		})
 	}
+}
+
+// streamPFDs are hand-built dependencies over the T13 transcript
+// schema (the course prefix determines the department; the semester
+// code embeds the year), so the stream benchmark is independent of
+// discovery output.
+func streamPFDs() []*pfd.PFD {
+	courseDept := pfd.MustNew("T13", []string{"course_id"}, "dept", pfd.Row{
+		LHS: []pfd.Cell{pfd.Pat(pattern.MustParse(`(\LU{2})-\D{3}`))},
+		RHS: pfd.Wildcard(),
+	})
+	semesterYear := pfd.MustNew("T13", []string{"semester"}, "year", pfd.Row{
+		LHS: []pfd.Cell{pfd.Pat(pattern.MustParse(`\LU(\D{4})`))},
+		RHS: pfd.Wildcard(),
+	})
+	return []*pfd.PFD{courseDept, semesterYear}
+}
+
+// tableTuples converts a table to the column->value maps the stream
+// engine consumes.
+func tableTuples(t *relation.Table) []map[string]string {
+	out := make([]map[string]string, t.NumRows())
+	for i := range out {
+		tuple := make(map[string]string, len(t.Cols))
+		for j, c := range t.Cols {
+			tuple[c] = t.At(i, j)
+		}
+		out[i] = tuple
+	}
+	return out
+}
+
+// runStreamPass pushes every tuple through a fresh engine from the
+// given number of producer goroutines, each submitting one contiguous
+// slice of the stream, and closes the engine.
+func runStreamPass(pfds []*pfd.PFD, tuples []map[string]string, producers int) {
+	eng := stream.New(pfds, stream.Options{})
+	var wg sync.WaitGroup
+	chunk := (len(tuples) + producers - 1) / producers
+	for lo := 0; lo < len(tuples); lo += chunk {
+		wg.Add(1)
+		go func(part []map[string]string) {
+			defer wg.Done()
+			for _, tuple := range part {
+				if err := eng.Submit(tuple); err != nil {
+					panic(err)
+				}
+			}
+		}(tuples[lo:min(lo+chunk, len(tuples))])
+	}
+	wg.Wait()
+	eng.Close()
 }
 
 func BenchmarkTANE(b *testing.B) {

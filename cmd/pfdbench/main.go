@@ -1,24 +1,19 @@
 // Command pfdbench regenerates the paper's evaluation artifacts (Section
 // 5) on the synthetic stand-in datasets: Table 7 (discovery comparison
 // and error detection), Table 8 (PFD validation), Table 3 (qualitative
-// samples), Figures 5 and 6 (controlled error injection), and the
-// K-sensitivity ablation.
+// samples), Figures 5 and 6 (controlled error injection), the
+// K-sensitivity ablation, the design ablations (ablation2) and the
+// detection comparison against single-column format profiling
+// (detectcmp).
 //
 // Usage:
 //
-//	pfdbench -exp all|table3|table7|table8|fig5|fig6|ablation [-scale 0.1] [-seed 1] [-dirt 0.01]
+//	pfdbench -exp all|table3|table7|table8|fig5|fig6|ablation|ablation2|detectcmp [-scale 0.1] [-seed 1] [-dirt 0.01] [-table T13]
 //
 // Scale 1.0 reproduces the paper's row counts; the default 0.1 finishes
-// in about a minute on a laptop.
-//
-// The extra experiment "bench" times the hot paths (compiled pattern
-// matchers, violation detection, streaming-engine throughput from
-// 1/4/8 producers, out-of-core vs in-memory discovery on T13, full discovery
-// per dataset) and writes a machine-readable snapshot (-benchout,
-// default BENCH_PR9.json; schema in internal/benchfmt) so the
-// performance trajectory is tracked across PRs. -micro trims the discovery block to the gated T13 workload;
-// cmd/benchdiff compares two snapshots and fails on hot-path
-// regressions (the CI gate).
+// in about a minute on a laptop. Hot-path timings are go test
+// benchmarks (bench_test.go and the packages' bench_test.go files), not
+// experiments of this command.
 package main
 
 import (
@@ -30,13 +25,11 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, table3, table7, table8, fig5, fig6, ablation, bench")
+	exp := flag.String("exp", "all", "experiment: all, table3, table7, table8, fig5, fig6, ablation, ablation2, detectcmp")
 	scale := flag.Float64("scale", 0.1, "fraction of the paper's row counts")
 	seed := flag.Int64("seed", 1, "generator seed")
 	dirt := flag.Float64("dirt", 0.01, "generator dirt rate")
 	only := flag.String("table", "", "restrict table7 to one dataset id (e.g. T13)")
-	benchout := flag.String("benchout", "BENCH_PR9.json", "output path for -exp bench")
-	micro := flag.Bool("micro", false, "bench: skip the per-dataset discovery block (fast, for the CI gate)")
 	flag.Parse()
 
 	cfg := experiments.Config{Scale: *scale, Seed: *seed, Dirt: *dirt}
@@ -69,10 +62,6 @@ func main() {
 			fmt.Print(experiments.FormatDesignAblations(experiments.RunDesignAblations(cfg)))
 		case "detectcmp":
 			fmt.Print(experiments.FormatDetectComparison(experiments.RunDetectComparison(cfg)))
-		case "bench":
-			if err := runBench(*scale, *seed, *dirt, *benchout, *micro); err != nil {
-				fail(err)
-			}
 		default:
 			fail(fmt.Errorf("unknown experiment %q", name))
 		}

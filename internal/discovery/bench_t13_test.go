@@ -6,11 +6,10 @@ import (
 	"pfd/internal/datagen"
 )
 
-// BenchmarkDiscoverT13 is the in-package profiling handle for the
-// heaviest Table 7 workload (the 105,748-row UDW transcript table at
-// pfdbench's 0.1 scale): near-unique id columns make it the stress
-// test for dictionary-driven index construction. The cross-PR numbers
-// live in pfdbench -exp bench (discovery/Discover/T13).
+// BenchmarkDiscoverT13 times the heaviest Table 7 workload (the
+// 105,748-row UDW transcript table at pfdbench's 0.1 scale): near-unique
+// id columns make it the stress test for dictionary-driven index
+// construction. The CI bench-gate job watches it.
 func BenchmarkDiscoverT13(b *testing.B) {
 	spec, _ := datagen.SpecByID("T13")
 	t, _ := spec.Build(10574, 1, 0.01)

@@ -182,9 +182,6 @@ type discoverer struct {
 	rhsCounts []int32
 	// countsFree recycles extend's per-recursion-level count buffers.
 	countsFree [][]int32
-	// draftIDs is the reusable kernel bitmap of a draft's row set; it is
-	// cloned only when the draft is accepted.
-	draftIDs []uint64
 	// order is the current candidate's LHS attributes sorted by pattern
 	// count — the draft-extension order. Draft entries align with it.
 	order []string
@@ -289,15 +286,13 @@ func (d *discoverer) tryCandidate(lhsIdx []int, rhsIdx int) *Dependency {
 	// order) already constrains those tuples, and on dirty data the
 	// subset's deviating RHS pick is noise-driven (a corrupted value can
 	// push a truncated pattern past the threshold inside a small group).
-	words := kernel.Words(t.NumRows())
-	covered := make([]uint64, words)
+	covered := make([]uint64, kernel.Words(t.NumRows()))
 	var rows []pfd.Row
-	var acc [][]uint64
+	// acc holds the accepted drafts' row lists: index postings or
+	// extend's Filter results, which no later draft writes to.
+	var acc [][]int32
 	seen := map[string]bool{}
 	rhsAttr := d.inv.Attrs[rhs]
-	if len(d.draftIDs) != words {
-		d.draftIDs = make([]uint64, words)
-	}
 	for _, dr := range drafts {
 		n := len(dr.rows)
 		if n < d.params.MinSupport {
@@ -315,16 +310,7 @@ func (d *discoverer) tryCandidate(lhsIdx []int, rhsIdx int) *Dependency {
 			continue
 		}
 		rhsKey := rhsAttr.Entries[be].Key
-		clear(d.draftIDs)
-		kernel.SetSorted(d.draftIDs, dr.rows)
-		redundant := false
-		for _, a := range acc {
-			if !kernel.AndNotAny(d.draftIDs, a) {
-				redundant = true
-				break
-			}
-		}
-		if redundant {
+		if slices.ContainsFunc(acc, func(a []int32) bool { return subsetSorted(dr.rows, a) }) {
 			continue
 		}
 		row, key := d.buildRow(lhs, rhs, dr, rhsKey)
@@ -333,8 +319,8 @@ func (d *discoverer) tryCandidate(lhsIdx []int, rhsIdx int) *Dependency {
 		}
 		seen[key] = true
 		rows = append(rows, *row)
-		acc = append(acc, slices.Clone(d.draftIDs))
-		kernel.OrInPlace(covered, d.draftIDs)
+		acc = append(acc, dr.rows)
+		kernel.SetSorted(covered, dr.rows)
 	}
 	if len(rows) == 0 {
 		return nil
@@ -362,6 +348,23 @@ func (d *discoverer) tryCandidate(lhsIdx []int, rhsIdx int) *Dependency {
 		}
 	}
 	return dep
+}
+
+// subsetSorted reports whether every id of a is in b; both are
+// ascending. The merge rejects on length first and then moves b's
+// cursor by binary search, so disjoint lists fail on a's first id.
+func subsetSorted(a, b []int32) bool {
+	if len(a) > len(b) {
+		return false
+	}
+	for _, id := range a {
+		j, ok := slices.BinarySearch(b, id)
+		if !ok {
+			return false
+		}
+		b = b[j+1:]
+	}
+	return true
 }
 
 // maxDrafts bounds tableau-row combinations per candidate so that

@@ -93,3 +93,42 @@ func TestQuickDiscoveryDeterministic(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestQuickSubsetSorted pins tryCandidate's redundancy test against a
+// set-membership oracle on random ascending row lists over a small id
+// range, so subsets, equal lists and disjoint lists all occur.
+func TestQuickSubsetSorted(t *testing.T) {
+	draw := func(r *rand.Rand) []int32 {
+		var out []int32
+		for id := int32(0); id < 12; id++ {
+			if r.Intn(3) == 0 {
+				out = append(out, id)
+			}
+		}
+		return out
+	}
+	prop := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		a, b := draw(r), draw(r)
+		if r.Intn(2) == 0 { // make a ⊆ b likely
+			a = a[:0]
+			for _, id := range b {
+				if r.Intn(2) == 0 {
+					a = append(a, id)
+				}
+			}
+		}
+		in := map[int32]bool{}
+		for _, id := range b {
+			in[id] = true
+		}
+		want := true
+		for _, id := range a {
+			want = want && in[id]
+		}
+		return subsetSorted(a, b) == want
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}

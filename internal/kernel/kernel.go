@@ -98,22 +98,6 @@ func And(dst, a, b []uint64) {
 	}
 }
 
-// AndNotAny reports whether a has any bit not in b — the kernel behind
-// subset tests: a ⊆ b iff AndNotAny(a, b) is false. b may be shorter
-// than a; missing words are treated as zero.
-func AndNotAny(a, b []uint64) bool {
-	for i, w := range a {
-		var bw uint64
-		if i < len(b) {
-			bw = b[i]
-		}
-		if w&^bw != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // OrInPlace unions src into dst: dst |= src. src may be shorter than
 // dst; missing words contribute nothing.
 func OrInPlace(dst, src []uint64) {

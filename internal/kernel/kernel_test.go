@@ -153,31 +153,7 @@ func TestCombinators(t *testing.T) {
 				t.Fatal("OrInPlace mismatch")
 			}
 		}
-
-		// Subset algebra: a&b ⊆ a, and a ⊆ b iff no a&^b residue.
-		And(dst, a, b)
-		if AndNotAny(dst, a) {
-			t.Fatal("a&b should be subset of a")
-		}
-		if got, want := AndNotAny(a, b), wantResidueOf(a, b); got != want {
-			t.Fatalf("AndNotAny = %v, want %v", got, want)
-		}
-		// Short-b forms treat missing words as zero.
-		if n > 1 {
-			if a[n-1] != 0 && !AndNotAny(a, b[:n-1]) {
-				t.Fatal("short AndNotAny should see residue in missing word")
-			}
-		}
 	}
-}
-
-func wantResidueOf(a, b []uint64) bool {
-	for i := range a {
-		if a[i]&^b[i] != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // appendIDs appends the positions of the set bits of words, in

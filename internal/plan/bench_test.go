@@ -2,11 +2,13 @@ package plan
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 
 	"pfd/internal/datagen"
 	"pfd/internal/discovery"
+	"pfd/internal/pattern"
 	"pfd/internal/pfd"
 	"pfd/internal/relation"
 )
@@ -70,6 +72,72 @@ func BenchmarkRunMined(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkRulesetT13 rates the planner at ruleset scale on T13 at 0.1
+// of Table 7's rows. The rulesets replicate five serving-style rule
+// families as fresh PFD objects sharing compiled patterns, as a
+// tenant's parsed ruleset does, plus a dead-constant family the
+// short-circuit pass retires; rulesN differs from rules10 only in how
+// many rules ride each shared LHS group. Per size, Build times plan
+// construction (build_us, the <100µs bar), Independent the per-rule
+// Violations loop, and Validate shared-group execution through a warm
+// plan, with speedup_vs_independent (the ≥3× bar at 100 rules) taken
+// against the Independent run just before it.
+func BenchmarkRulesetT13(b *testing.B) {
+	t := draw(b, "T13", 10574, 1, 0.01)
+	prefix := pattern.MustParse(`(\LU+)\-\D*`)
+	sem := pattern.MustParse(`\LU+(\D{4})`)
+	dead := pattern.Constant("no-such-dept")
+	wild := pfd.Row{LHS: []pfd.Cell{pfd.Wildcard()}, RHS: pfd.Wildcard()}
+	base := []*pfd.PFD{
+		pfd.MustNew("T13", []string{"course_id"}, "dept", wild),
+		pfd.MustNew("T13", []string{"semester"}, "year",
+			pfd.Row{LHS: []pfd.Cell{pfd.Pat(sem)}, RHS: pfd.Wildcard()}),
+		pfd.MustNew("T13", []string{"course_id"}, "dept",
+			pfd.Row{LHS: []pfd.Cell{pfd.Pat(prefix)}, RHS: pfd.Wildcard()}),
+		pfd.MustNew("T13", []string{"dept"}, "course_id",
+			pfd.Row{LHS: []pfd.Cell{pfd.Wildcard()}, RHS: pfd.Pat(prefix)}),
+		pfd.MustNew("T13", []string{"dept"}, "grade",
+			pfd.Row{LHS: []pfd.Cell{pfd.Pat(dead)}, RHS: pfd.Wildcard()}),
+	}
+	for _, n := range []int{10, 100, 1000} {
+		pfds := make([]*pfd.PFD, n)
+		for i := range pfds {
+			p := base[i%len(base)]
+			pfds[i] = pfd.MustNew(p.Relation, p.LHS, p.RHS, p.Tableau...)
+		}
+		b.Run(fmt.Sprintf("rules%d", n), func(b *testing.B) {
+			b.Run("Build", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					New(pfds)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N), "build_us")
+			})
+			var indepNs float64
+			b.Run("Independent", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					for _, p := range pfds {
+						p.Violations(t)
+					}
+				}
+				indepNs = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			})
+			b.Run("Validate", func(b *testing.B) {
+				pl := New(pfds)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					pl.Violations(t)
+				}
+				if indepNs > 0 {
+					b.ReportMetric(indepNs/(float64(b.Elapsed().Nanoseconds())/float64(b.N)), "speedup_vs_independent")
+				}
+			})
 		})
 	}
 }

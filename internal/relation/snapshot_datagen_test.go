@@ -49,3 +49,41 @@ func TestSnapshotRoundTripEvaluationTables(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkDecodeT13 decodes T13 at 0.1 of Table 7's rows from memory
+// in both formats: ReadCSV parses and re-interns, LoadSnapshot reads
+// the binary dictionaries and codes. LoadSnapshot reports
+// speedup_vs_csv against the ReadCSV run just before it, the warm-up
+// win (≥5×) the snapshot format exists for.
+func BenchmarkDecodeT13(b *testing.B) {
+	spec, _ := datagen.SpecByID("T13")
+	t, _ := spec.Build(10574, 1, 0.01)
+	var snap, csv bytes.Buffer
+	if err := t.WriteSnapshot(&snap); err != nil {
+		b.Fatal(err)
+	}
+	if err := t.WriteCSV(&csv); err != nil {
+		b.Fatal(err)
+	}
+	var csvNs float64
+	b.Run("ReadCSV", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := relation.ReadCSV("T13", bytes.NewReader(csv.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+		}
+		csvNs = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+	})
+	b.Run("LoadSnapshot", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := relation.LoadSnapshot(bytes.NewReader(snap.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if csvNs > 0 {
+			b.ReportMetric(csvNs/(float64(b.Elapsed().Nanoseconds())/float64(b.N)), "speedup_vs_csv")
+		}
+	})
+}
